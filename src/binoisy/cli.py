@@ -145,7 +145,7 @@ _RATE_FLAGS = [
           choices=("matched", "mismatched", "both", "highsnr")),
     _Flag("--constellation", _parse_kinds, ["gaussian"], "comma list of constellations", metavar="LIST"),
     _Flag("--snr", _parse_snr, _parse_snr("0:30:5"), "SNR grid in dB (START:STOP:STEP or comma list)", metavar="GRID"),
-    _Flag("--evm", _parse_float_list, [-math.inf], "comma list of EVM values in dB (use --evm=-inf for ideal)", metavar="LIST"),
+    _Flag("--evm", _parse_float_list, [-math.inf], "comma list of EVM values in dB (-inf for ideal)", metavar="LIST"),
     _Flag("--M", int, 4, "transmit streams", metavar="M"),
     _Flag("--N", int, 4, "receive antennas", metavar="N"),
     _Flag("--max-iter", int, 500, "fixed-point iteration budget", metavar="K"),
@@ -185,6 +185,20 @@ _SUBCOMMANDS = {
     "validate": (_VALIDATE_FLAGS, "replica rates against Monte Carlo references"),
     "evm-plan": (_PLAN_FLAGS, "maximum EVM meeting a rate-loss budget vs SNR"),
 }
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write `--flag VALUE` as `--flag=VALUE` when VALUE starts with '-':
+    argparse takes -40 as a value but reads -20,-10 or -inf as a flag."""
+    takes_value = {name for flags, _ in _SUBCOMMANDS.values() for f in flags
+                   if f.conv is not None for name in (f.name, f.short) if name}
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in takes_value and tok[:1] == "-" and tok not in takes_value:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _build_parser(suppress_defaults: bool) -> argparse.ArgumentParser:
@@ -549,7 +563,7 @@ _RUNNERS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     args = _build_parser(suppress_defaults=False).parse_args(argv)
     try:
         if args.config:

@@ -7,11 +7,16 @@ postulated marginal q. The true one is z = x + v + n with transmit distortion
 v ~ CN(0, r_v) and n ~ CN(0, 1/eta); it defines the marginal p and everything
 the receiver actually experiences.
 
-Each quantity has up to three evaluation paths: a closed form for Gaussian
-inputs, a per-axis path for alphabets that factor into independent I/Q PAM
-grids (square QAM, BPSK), and a generic complex-plane quadrature for the rest.
-The factored path is algebraically exact, not an approximation: the weights,
-marginals, and posterior means all separate when the point set is a product.
+Gaussian inputs have closed forms. For a discrete alphabet each quantity is
+one kernel summed over the alphabet's independent factors: the real I and Q
+PAM axes of a product grid (square QAM, BPSK), or else the complex point set
+as a single factor. The factored path is algebraically exact, not an
+approximation: the weights, marginals, and posterior means all separate when
+the point set is a product. A factor of real dimension d (1 for an axis, 2
+for complex points) enters a kernel only through d: quadrature runs on the
+line at variance var/2 or on the plane at var, the log-density normalizer is
+-(d/2) ln(pi var) - ln K, and the conditional distortion variance is
+(d/2) r_v / (1 + eta r_v).
 """
 
 from __future__ import annotations
@@ -22,28 +27,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Constellation
-from .numerics import (
-    DEFAULT_ORDER,
-    hermgauss_nodes,
-    logsumexp,
-    mixture_expectation,
-    real_mixture_expectation,
-)
+from .numerics import DEFAULT_ORDER, mixture_expectation, real_mixture_expectation
 
 __all__ = [
     "DecoupledPostulated",
     "DecoupledTrue",
     "posterior_mean",
-    "postulated_marginal",
     "log_postulated_marginal",
-    "true_marginal",
-    "log_true_marginal",
     "postulated_mmse",
     "true_mse",
     "cross_entropy",
     "matched_posterior_mean",
     "matched_second_moment",
     "matched_scalar_mi",
+    "output_entropy",
 ]
 
 _LN_PI = math.log(math.pi)
@@ -80,219 +77,129 @@ class DecoupledTrue:
 # pointwise quantities
 # ---------------------------------------------------------------------------
 
-def _softmax_stats(z: np.ndarray, points: np.ndarray, inv_var: float):
-    """Posterior weights over alphabet points for observations z under a
-    complex Gaussian likelihood with the given inverse variance. Returns
-    (weights normalized along the last axis, logsumexp of the exponents)."""
-    ex = -inv_var * np.abs(z[..., None] - points) ** 2
-    m = np.max(ex, axis=-1, keepdims=True)
-    w = np.exp(ex - m)
-    den = np.sum(w, axis=-1, keepdims=True)
-    return w / den, (m[..., 0] + np.log(den[..., 0]))
-
-
 def posterior_mean(z, ctx: DecoupledPostulated):
     """Denoiser output <x>_q: conditional mean of the alphabet point given z
-    under the postulated channel. Deep in the tails this degrades gracefully
-    to the nearest point because the weights are max-shifted before
-    exponentiation."""
+    under the postulated channel."""
     z = np.asarray(z, dtype=complex)
     c = ctx.constellation
     if c.is_gaussian:
         g = ctx.xi * c.gamma_bar
         return z * (g / (1.0 + g))
-    w, _ = _softmax_stats(z, c.points, ctx.xi)
-    return w @ c.points
+    return _weights(z, c.points, 1.0 / ctx.xi)[0] @ c.points
 
 
 def log_postulated_marginal(z, ctx: DecoupledPostulated):
+    """ln q(z): log-density of the postulated channel output."""
     z = np.asarray(z, dtype=complex)
     c = ctx.constellation
     if c.is_gaussian:
         var = c.gamma_bar + 1.0 / ctx.xi
         return -np.abs(z) ** 2 / var - math.log(var) - _LN_PI
-    ex = -ctx.xi * np.abs(z[..., None] - c.points) ** 2
-    return logsumexp(ex) - math.log(c.size) + math.log(ctx.xi) - _LN_PI
-
-
-def postulated_marginal(z, ctx: DecoupledPostulated):
-    """Mixture density q(z) of the postulated channel output."""
-    return np.exp(log_postulated_marginal(z, ctx))
-
-
-def log_true_marginal(z, ctx: DecoupledTrue):
-    z = np.asarray(z, dtype=complex)
-    c = ctx.constellation
-    var = 1.0 / ctx.eta + ctx.r_v
-    if c.is_gaussian:
-        tot = c.gamma_bar + var
-        return -np.abs(z) ** 2 / tot - math.log(tot) - _LN_PI
-    ex = -np.abs(z[..., None] - c.points) ** 2 / var
-    return logsumexp(ex) - math.log(c.size) - math.log(var) - _LN_PI
-
-
-def true_marginal(z, ctx: DecoupledTrue):
-    """Mixture density p(z) of the true channel output; each alphabet point is
-    blurred by the distortion plus the receive-side noise (variance
-    1/eta + r_v)."""
-    return np.exp(log_true_marginal(z, ctx))
+    return _log_mixture(z, c.points, 1.0 / ctx.xi)
 
 
 def matched_posterior_mean(z, ctx: DecoupledTrue):
     """Conditional mean <chi> of the distorted transmit signal chi = x + v
-    given z, under the true channel law. For each candidate point the
-    distortion is shrunk toward the observation; the shrunk centers are then
-    mixed with the true posterior weights."""
+    given z, under the true channel law."""
     z = np.asarray(z, dtype=complex)
     c = ctx.constellation
     if c.is_gaussian:
         P = c.gamma_bar + ctx.r_v
         g = ctx.eta * P
         return z * (g / (1.0 + g))
-    ervd = ctx.eta * ctx.r_v
-    var = 1.0 / ctx.eta + ctx.r_v
-    w, _ = _softmax_stats(z, c.points, 1.0 / var)
-    centers = (c.points + ervd * z[..., None]) / (1.0 + ervd)
-    return np.sum(w * centers, axis=-1)
+    return _matched_mean(z, c.points, ctx.eta, ctx.r_v)
 
 
 # ---------------------------------------------------------------------------
-# one-axis (real PAM) integral kernels for product alphabets
+# per-factor kernels
 # ---------------------------------------------------------------------------
 
-def _pam_weights(y: np.ndarray, ax: np.ndarray, var: float):
-    ex = -((y[..., None] - ax) ** 2) / (2.0 * var)
+def _factors(c: Constellation) -> tuple[np.ndarray, ...]:
+    """Independent factors of a discrete alphabet: the real I and Q PAM axes
+    of a product grid, else the complex point set as a single factor."""
+    if c.axes is not None:
+        return c.axes
+    return (np.asarray(c.points, dtype=complex),)
+
+
+def _weights(z: np.ndarray, alph: np.ndarray, var: float):
+    """Posterior weights over the factor's points for observations z, and the
+    logsumexp of their exponents -|z - a|^2 / var. var is the complex-plane
+    noise variance (var/2 per PAM axis); max-shifting keeps the weights on
+    the nearest point deep in the tails."""
+    ex = np.abs(z[..., None] - alph) ** 2 * (-1.0 / var)
     m = np.max(ex, axis=-1, keepdims=True)
     w = np.exp(ex - m)
     den = np.sum(w, axis=-1, keepdims=True)
-    return w / den, (m[..., 0] + np.log(den[..., 0]))
+    return w / den, m[..., 0] + np.log(den[..., 0])
 
 
-def _pam_mmse(ax: np.ndarray, var: float, order: int) -> float:
-    """E a^2 - E m(y)^2 on one axis; channel and denoiser share var."""
-    def sq_mean(y):
-        w, _ = _pam_weights(y, ax, var)
-        return (w @ ax) ** 2
-
-    second = real_mixture_expectation(ax, var, sq_mean, order)
-    return float(np.mean(ax**2)) - second
+def _log_mixture(z: np.ndarray, alph: np.ndarray, var: float) -> np.ndarray:
+    """Log-density of the factor's equal-weight mixture at noise variance var."""
+    d = 2 if np.iscomplexobj(alph) else 1
+    return _weights(z, alph, var)[1] - 0.5 * d * math.log(math.pi * var) - math.log(len(alph))
 
 
-def _pam_entropy(ax: np.ndarray, var: float, order: int) -> float:
-    """Differential entropy of the one-axis mixture with component variance var."""
-    ln_norm = -0.5 * math.log(2.0 * math.pi * var) - math.log(len(ax))
-
-    def ln_p(y):
-        ex = -((y[..., None] - ax) ** 2) / (2.0 * var)
-        return logsumexp(ex) + ln_norm
-
-    return -real_mixture_expectation(ax, var, ln_p, order)
-
-
-def _pam_cross_entropy(ax: np.ndarray, var_p: float, var_q: float, order: int) -> float:
-    """int p1 ln q1 on one axis; p has component variance var_p, q var_q."""
-    ln_norm = -0.5 * math.log(2.0 * math.pi * var_q) - math.log(len(ax))
-
-    def ln_q(y):
-        ex = -((y[..., None] - ax) ** 2) / (2.0 * var_q)
-        return logsumexp(ex) + ln_norm
-
-    return real_mixture_expectation(ax, var_p, ln_q, order)
-
-
-def _pam_true_mse(ax: np.ndarray, v_noise: float, v_dist: float, v_post: float, order: int) -> float:
-    """One-axis E[(chi - m(y))^2] with chi = a + distortion.
-
-    Conditioning on y makes the inner expectation exact: within candidate
-    point a_j the distorted coordinate is Gaussian with mean mu_j(y) and
-    variance s1, so the v integral never has to be sampled.
-    """
-    v_ch = v_noise + v_dist
-    s1 = v_dist * v_noise / v_ch
-    mu_w = v_dist / v_ch
-
-    def cond_sq_err(y):
-        w, _ = _pam_weights(y, ax, v_ch)
-        wq, _ = _pam_weights(y, ax, v_post)
-        m = wq @ ax
-        mu = ax * (1.0 - mu_w) + mu_w * y[..., None]
-        return s1 + np.sum(w * (mu - m[..., None]) ** 2, axis=-1)
-
-    return real_mixture_expectation(ax, v_ch, cond_sq_err, order)
-
-
-def _pam_matched_sq(ax: np.ndarray, v_noise: float, v_dist: float, order: int) -> float:
-    """One-axis E <chi>^2 under the true channel."""
-    v_ch = v_noise + v_dist
-    mu_w = v_dist / v_ch
-
-    def sq(y):
-        w, _ = _pam_weights(y, ax, v_ch)
-        mu = ax * (1.0 - mu_w) + mu_w * y[..., None]
-        return np.sum(w * mu, axis=-1) ** 2
-
-    return real_mixture_expectation(ax, v_ch, sq, order)
-
-
-# ---------------------------------------------------------------------------
-# generic complex-plane kernels
-# ---------------------------------------------------------------------------
-
-def _cplx_mmse(points: np.ndarray, xi: float, order: int) -> float:
-    def sq_mean(z):
-        w, _ = _softmax_stats(z, points, xi)
-        return np.abs(w @ points) ** 2
-
-    comps = [(p, 1.0 / xi) for p in points]
-    second = mixture_expectation(comps, sq_mean, order)
-    return float(np.mean(np.abs(points) ** 2)) - second
-
-
-def _cplx_entropy(points: np.ndarray, var: float, order: int) -> float:
-    ln_norm = -math.log(math.pi * var) - math.log(len(points))
-
-    def ln_p(z):
-        ex = -np.abs(z[..., None] - points) ** 2 / var
-        return logsumexp(ex) + ln_norm
-
-    return -mixture_expectation([(p, var) for p in points], ln_p, order)
-
-
-def _cplx_cross_entropy(points: np.ndarray, var_p: float, var_q: float, order: int) -> float:
-    ln_norm = -math.log(math.pi * var_q) - math.log(len(points))
-
-    def ln_q(z):
-        ex = -np.abs(z[..., None] - points) ** 2 / var_q
-        return logsumexp(ex) + ln_norm
-
-    return mixture_expectation([(p, var_p) for p in points], ln_q, order)
-
-
-def _cplx_true_mse(points: np.ndarray, eta: float, r_v: float, xi: float, order: int) -> float:
-    var = 1.0 / eta + r_v
-    s2 = r_v / (1.0 + eta * r_v)
+def _centers(z: np.ndarray, alph: np.ndarray, eta: float, r_v: float) -> np.ndarray:
+    """E[a + v | z, a] on the true channel: each point's distortion shrunk
+    toward the observation."""
     mu_w = eta * r_v / (1.0 + eta * r_v)
+    return alph * (1.0 - mu_w) + mu_w * z[..., None]
+
+
+def _matched_mean(z: np.ndarray, alph: np.ndarray, eta: float, r_v: float) -> np.ndarray:
+    """<chi> on one factor: the shrunk centers mixed with the true posterior
+    weights."""
+    w, _ = _weights(z, alph, 1.0 / eta + r_v)
+    return np.sum(w * _centers(z, alph, eta, r_v), axis=-1)
+
+
+def _expect(alph: np.ndarray, var: float, f, order: int) -> float:
+    """E f(z) for z drawn from the factor's mixture at noise variance var."""
+    if np.iscomplexobj(alph):
+        return mixture_expectation([(a, var) for a in alph], f, order)
+    return real_mixture_expectation(alph, var / 2.0, f, order)
+
+
+def _mmse(alph: np.ndarray, var: float, order: int) -> float:
+    """E|a|^2 - E|<a>|^2; channel and denoiser share noise variance var."""
+    def sq_mean(z):
+        return np.abs(_weights(z, alph, var)[0] @ alph) ** 2
+
+    return float(np.mean(np.abs(alph) ** 2)) - _expect(alph, var, sq_mean, order)
+
+
+def _true_mse(alph: np.ndarray, eta: float, r_v: float, xi: float, order: int) -> float:
+    """E|chi - <a>_q|^2 with chi = a + distortion on the true channel.
+
+    Conditioning on z makes the inner expectation exact: within candidate
+    point a the distorted signal is Gaussian around its shrunk center with
+    variance s summed over the factor's real dimensions, so the v integral
+    never has to be sampled.
+    """
+    var = 1.0 / eta + r_v
+    s = (1.0 if np.iscomplexobj(alph) else 0.5) * r_v / (1.0 + eta * r_v)
 
     def cond_sq_err(z):
-        w, _ = _softmax_stats(z, points, 1.0 / var)
-        wq, _ = _softmax_stats(z, points, xi)
-        m = wq @ points
-        mu = points * (1.0 - mu_w) + mu_w * z[..., None]
-        return s2 + np.sum(w * np.abs(mu - m[..., None]) ** 2, axis=-1)
+        w, _ = _weights(z, alph, var)
+        wq, _ = _weights(z, alph, 1.0 / xi)
+        m = wq @ alph
+        return s + np.sum(w * np.abs(_centers(z, alph, eta, r_v) - m[..., None]) ** 2, axis=-1)
 
-    return mixture_expectation([(p, var) for p in points], cond_sq_err, order)
+    return _expect(alph, var, cond_sq_err, order)
 
 
-def _cplx_matched_sq(points: np.ndarray, eta: float, r_v: float, order: int) -> float:
-    var = 1.0 / eta + r_v
-    mu_w = eta * r_v / (1.0 + eta * r_v)
-
+def _matched_sq(alph: np.ndarray, eta: float, r_v: float, order: int) -> float:
+    """E|<chi>|^2 under the true channel."""
     def sq(z):
-        w, _ = _softmax_stats(z, points, 1.0 / var)
-        mu = points * (1.0 - mu_w) + mu_w * z[..., None]
-        return np.abs(np.sum(w * mu, axis=-1)) ** 2
+        return np.abs(_matched_mean(z, alph, eta, r_v)) ** 2
 
-    return mixture_expectation([(p, var) for p in points], sq, order)
+    return _expect(alph, 1.0 / eta + r_v, sq, order)
+
+
+def _cross_entropy(alph: np.ndarray, var_p: float, var_q: float, order: int) -> float:
+    """int p ln q; p and q are the factor's mixtures at var_p and var_q."""
+    return _expect(alph, var_p, lambda z: _log_mixture(z, alph, var_q), order)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +212,7 @@ def postulated_mmse(ctx: DecoupledPostulated, order: int = DEFAULT_ORDER) -> flo
     c = ctx.constellation
     if c.is_gaussian:
         return c.gamma_bar / (1.0 + ctx.xi * c.gamma_bar)
-    if c.axes is not None:
-        v = 1.0 / (2.0 * ctx.xi)
-        return sum(_pam_mmse(ax, v, order) for ax in c.axes)
-    return _cplx_mmse(c.points, ctx.xi, order)
+    return sum(_mmse(a, 1.0 / ctx.xi, order) for a in _factors(c))
 
 
 def true_mse(true_ctx: DecoupledTrue, post_ctx: DecoupledPostulated, order: int = DEFAULT_ORDER) -> float:
@@ -321,10 +225,7 @@ def true_mse(true_ctx: DecoupledTrue, post_ctx: DecoupledPostulated, order: int 
     if c.is_gaussian:
         g = xi * c.gamma_bar
         return (c.gamma_bar + r_v) / (1.0 + g) ** 2 + (g / (1.0 + g)) ** 2 / eta
-    if c.axes is not None:
-        vn, vd, vp = 1.0 / (2.0 * eta), r_v / 2.0, 1.0 / (2.0 * xi)
-        return sum(_pam_true_mse(ax, vn, vd, vp, order) for ax in c.axes)
-    return _cplx_true_mse(c.points, eta, r_v, xi, order)
+    return sum(_true_mse(a, eta, r_v, xi, order) for a in _factors(c))
 
 
 def cross_entropy(true_ctx: DecoupledTrue, post_ctx: DecoupledPostulated, order: int = DEFAULT_ORDER) -> float:
@@ -337,11 +238,7 @@ def cross_entropy(true_ctx: DecoupledTrue, post_ctx: DecoupledPostulated, order:
         return -math.log(math.pi * var_q) - var_p / var_q
     var_p = 1.0 / true_ctx.eta + true_ctx.r_v
     var_q = 1.0 / post_ctx.xi
-    if c.axes is not None:
-        return sum(
-            _pam_cross_entropy(ax, var_p / 2.0, var_q / 2.0, order) for ax in c.axes
-        )
-    return _cplx_cross_entropy(c.points, var_p, var_q, order)
+    return sum(_cross_entropy(a, var_p, var_q, order) for a in _factors(c))
 
 
 def matched_second_moment(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> float:
@@ -351,24 +248,7 @@ def matched_second_moment(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> flo
     if c.is_gaussian:
         P = c.gamma_bar + ctx.r_v
         return ctx.eta * P * P / (1.0 + ctx.eta * P)
-    if c.axes is not None:
-        vn, vd = 1.0 / (2.0 * ctx.eta), ctx.r_v / 2.0
-        return sum(_pam_matched_sq(ax, vn, vd, order) for ax in c.axes)
-    return _cplx_matched_sq(c.points, ctx.eta, ctx.r_v, order)
-
-
-def matched_scalar_mi(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> float:
-    """I(z; chi) of the true scalar channel in nats: output entropy minus the
-    CN(0, 1/eta) noise entropy."""
-    c = ctx.constellation
-    if c.is_gaussian:
-        return math.log1p(ctx.eta * (c.gamma_bar + ctx.r_v))
-    var = 1.0 / ctx.eta + ctx.r_v
-    if c.axes is not None:
-        h_out = sum(_pam_entropy(ax, var / 2.0, order) for ax in c.axes)
-    else:
-        h_out = _cplx_entropy(c.points, var, order)
-    return h_out - math.log(math.e * math.pi / ctx.eta)
+    return sum(_matched_sq(a, ctx.eta, ctx.r_v, order) for a in _factors(c))
 
 
 def output_entropy(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> float:
@@ -377,6 +257,12 @@ def output_entropy(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> float:
     var = 1.0 / ctx.eta + ctx.r_v
     if c.is_gaussian:
         return math.log(math.pi * math.e * (c.gamma_bar + var))
-    if c.axes is not None:
-        return sum(_pam_entropy(ax, var / 2.0, order) for ax in c.axes)
-    return _cplx_entropy(c.points, var, order)
+    return -sum(_cross_entropy(a, var, var, order) for a in _factors(c))
+
+
+def matched_scalar_mi(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> float:
+    """I(z; chi) of the true scalar channel in nats: output entropy minus the
+    CN(0, 1/eta) noise entropy."""
+    if ctx.constellation.is_gaussian:
+        return math.log1p(ctx.eta * (ctx.constellation.gamma_bar + ctx.r_v))
+    return output_entropy(ctx, order) - math.log(math.e * math.pi / ctx.eta)

@@ -93,6 +93,18 @@ def test_json_output_structure(tmp_path):
     assert isinstance(row["rate_bits_per_stream"], float)
     # default ideal hardware: non-finite EVM serialized as a string
     assert row["evm_db"] == "-inf"
+    # values starting with '-' that are not plain numbers still parse as values
+    _, explicit = run(tmp_path, "rate-sweep", "--mode", "matched",
+                      "--constellation", "gaussian", "--snr", "5", "--evm", "-inf",
+                      "--format", "json", name="explicit.json")
+    assert explicit.read_text() == out.read_text()
+    code, out = run(tmp_path, "rate-sweep", "--mode", "matched",
+                    "--constellation", "gaussian", "--snr", "-5,0", "--evm", "-20,-10",
+                    "--format", "json", name="negative.json")
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert sorted((r["snr_db"], r["evm_db"]) for r in rows) == [
+        (-5.0, -20.0), (-5.0, -10.0), (0.0, -20.0), (0.0, -10.0)]
 
 
 def test_nats_flag_renames_and_rescales(tmp_path):
@@ -183,7 +195,8 @@ def test_validate_rejects_discrete_mismatched(tmp_path):
 
 def test_evm_plan_output(tmp_path):
     code, out = run(tmp_path, "evm-plan", "--loss", "0.05",
-                    "--constellation", "gaussian", "--snr", "0:10:10")
+                    "--constellation", "gaussian", "--snr", "0:10:10",
+                    "--evm-lo", "-40")
     assert code == 0
     rows = read_rows(out)
     assert [r["snr_db"] for r in rows] == ["0", "10"]

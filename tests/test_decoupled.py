@@ -27,6 +27,27 @@ QPSK_POSTULATED_MMSE = 0.6834304211088926
 QPSK_TRUE_MSE = 0.6884850722964242
 QPSK_CROSS_ENTROPY = -3.3257920865744137
 
+# Frozen values for the same channel parameters on psk8, which integrates over
+# the complex plane, and qam16, which integrates over its two PAM axes.
+FROZEN = {
+    "psk8": {
+        "postulated_mmse": 0.7407563949012959,
+        "true_mse": 0.7223931151304792,
+        "cross_entropy": -3.341766842784466,
+        "matched_second_moment": 1.6088110662269965,
+        "matched_scalar_mi": 1.091646131203888,
+        "output_entropy": 3.3417365327111144,
+    },
+    "qam16": {
+        "postulated_mmse": 0.7901131618462092,
+        "true_mse": 0.7516257700513724,
+        "cross_entropy": -3.356564401875829,
+        "matched_second_moment": 1.5778044319074742,
+        "matched_scalar_mi": 1.1064512479643787,
+        "output_entropy": 3.356541649471605,
+    },
+}
+
 
 def qpsk_contexts():
     con = make_constellation("qpsk", 2.0)
@@ -38,6 +59,20 @@ def test_frozen_scalar_oracles():
     assert postulated_mmse(post_ctx) == pytest.approx(QPSK_POSTULATED_MMSE, abs=1e-12)
     assert true_mse(true_ctx, post_ctx) == pytest.approx(QPSK_TRUE_MSE, abs=1e-12)
     assert cross_entropy(true_ctx, post_ctx) == pytest.approx(QPSK_CROSS_ENTROPY, abs=1e-12)
+    for kind, want in FROZEN.items():
+        con = make_constellation(kind, 2.0)
+        true_ctx = DecoupledTrue(eta=0.9, r_v=0.3, constellation=con)
+        post_ctx = DecoupledPostulated(xi=0.7, constellation=con)
+        got = {
+            "postulated_mmse": postulated_mmse(post_ctx),
+            "true_mse": true_mse(true_ctx, post_ctx),
+            "cross_entropy": cross_entropy(true_ctx, post_ctx),
+            "matched_second_moment": matched_second_moment(true_ctx),
+            "matched_scalar_mi": matched_scalar_mi(true_ctx),
+            "output_entropy": output_entropy(true_ctx),
+        }
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-12), (kind, name)
 
 
 def test_bpsk_posterior_mean_is_tanh():
@@ -91,7 +126,7 @@ def test_gibbs_inequality_and_equality_case():
 
 
 def test_product_axes_path_equals_generic_quadrature():
-    for kind in ("qpsk", "qam16"):
+    for kind in ("bpsk", "qpsk", "qam16"):
         con = make_constellation(kind, 1.7)
         assert con.axes is not None
         flat = Constellation(kind="custom", gamma_bar=con.gamma_bar,
@@ -108,6 +143,7 @@ def test_product_axes_path_equals_generic_quadrature():
         assert cross_entropy(t_ax, p_ax) == pytest.approx(cross_entropy(t_fl, p_fl), abs=5e-12)
         assert matched_second_moment(t_ax) == pytest.approx(matched_second_moment(t_fl), abs=5e-12)
         assert output_entropy(t_ax) == pytest.approx(output_entropy(t_fl), abs=5e-12)
+        assert matched_scalar_mi(t_ax) == pytest.approx(matched_scalar_mi(t_fl), abs=5e-12)
 
 
 def test_matched_second_moment_bounds_and_monotonicity():
