@@ -7,11 +7,24 @@ validated against these estimates.
 Determinism: channels are drawn in fixed-size blocks, each block from its own
 child of one root SeedSequence, and scalar reductions go through math.fsum in
 block order. Reruns with the same settings are bit-identical.
+
+Batching: the Gaussian references draw a whole block as one
+(count, 2, N, M) array, real parts then imaginary parts per channel, which is
+the stream order of count single draws, and hand the stacked H H^H to
+LAPACK's slogdet or eigh, which factor each matrix of the stack exactly as
+they factor one. The exhaustive discrete reference draws a channel's noise
+in chunks of the same stream and reuses one score buffer for every draw. Its
+log-sum-exp clamps exponents at -700 before exp. That moves no bit: every row
+holds exp(0) = 1, so its sum is at least 1, and a clamped term turns from
+something below 1e-304 (or zero) into exp(-700) < 1e-304, far too small to
+change such a sum. The clamp keeps exp off its slow path for arguments below
+about -708, where most lattice pairs of a high-SNR, small-EVM point fall.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,6 +45,11 @@ __all__ = [
 ]
 
 _BLOCK = 100
+# Noise draws fetched from the stream at once in the exhaustive reference;
+# a chunk and its complex copy take 32 KiB per receive antenna.
+_NOISE_CHUNK = 1024
+# exp(-700) ~ 1e-304; exp is much slower below about -708.
+_EXP_FLOOR = -700.0
 
 # Exhaustive enumeration of |A|^M candidate vectors; above this it is not a
 # sampling problem anymore, it is a memory problem.
@@ -45,6 +63,12 @@ class McSettings:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_channels", "n_noise", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_channels < 2:
             raise ValueError("n_channels must be at least 2 to report a standard error")
         if self.n_noise < 1:
@@ -69,8 +93,14 @@ class McResult:
 def sample_channel(M: int, N: int, rng: np.random.Generator) -> np.ndarray:
     """One N-by-M channel with IID circularly-symmetric complex Gaussian
     entries of variance 1/M."""
-    scale = math.sqrt(0.5 / M)
-    return scale * (rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M)))
+    return _draw_channels(1, M, N, rng)[0]
+
+
+def _draw_channels(count: int, M: int, N: int, rng: np.random.Generator) -> np.ndarray:
+    """count channels as a (count, N, M) stack, drawn from the stream in the
+    order of count calls to sample_channel."""
+    z = rng.standard_normal((count, 2, N, M))
+    return math.sqrt(0.5 / M) * (z[:, 0] + 1j * z[:, 1])
 
 
 def _blocks(n: int, seed: int) -> Iterator[tuple[np.random.Generator, int]]:
@@ -107,12 +137,11 @@ def mc_gmi_gaussian(
     c_all = np.empty((settings.n_channels, N))
     row = 0
     for rng, count in _blocks(settings.n_channels, settings.seed):
-        for _ in range(count):
-            H = sample_channel(M, N, rng)
-            d, U = np.linalg.eigh(H @ H.conj().T)
-            d_all[row] = np.maximum(d, 0.0)
-            c_all[row] = np.einsum("ij,ij->j", U.conj(), cfg.R_w @ U).real
-            row += 1
+        H = _draw_channels(count, M, N, rng)
+        d, U = np.linalg.eigh(H @ H.conj().transpose(0, 2, 1))
+        d_all[row:row + count] = np.maximum(d, 0.0)
+        c_all[row:row + count] = np.einsum("kij,kij->kj", U.conj(), cfg.R_w @ U).real
+        row += count
 
     const = N * (cfg.cw + r_v)
 
@@ -137,13 +166,12 @@ def mc_mi_matched_gaussian(cfg: SystemConfig, settings: McSettings = McSettings(
     vals = np.empty(settings.n_channels)
     row = 0
     for rng, count in _blocks(settings.n_channels, settings.seed):
-        for _ in range(count):
-            H = sample_channel(cfg.M, cfg.N, rng)
-            G = H @ H.conj().T
-            _, top = np.linalg.slogdet(cfg.R_w + (cfg.gamma_bar + cfg.r_v) * G)
-            _, bottom = np.linalg.slogdet(cfg.R_w + cfg.r_v * G)
-            vals[row] = (top - bottom) / cfg.M
-            row += 1
+        H = _draw_channels(count, cfg.M, cfg.N, rng)
+        G = H @ H.conj().transpose(0, 2, 1)
+        _, top = np.linalg.slogdet(cfg.R_w + (cfg.gamma_bar + cfg.r_v) * G)
+        _, bottom = np.linalg.slogdet(cfg.R_w + cfg.r_v * G)
+        vals[row:row + count] = (top - bottom) / cfg.M
+        row += count
     mean, stderr = _mean_stderr(vals)
     return McResult(rate_nats=mean, stderr_nats=stderr, n_channels=settings.n_channels)
 
@@ -177,6 +205,7 @@ def mc_mi_matched_discrete(
     X = np.stack([g.ravel() for g in grids], axis=1)  # (K^M, M)
 
     vals = np.empty(settings.n_channels)
+    scores = np.empty((K**M, K**M))
     row = 0
     for rng, count in _blocks(settings.n_channels, settings.seed):
         for _ in range(count):
@@ -186,17 +215,22 @@ def mc_mi_matched_discrete(
             T = np.linalg.solve(L, (H @ X.T)).T  # (K^M, N), whitened lattice
             power = np.sum(np.abs(T) ** 2, axis=1)
             gram = (T @ T.conj().T).real
-            d2 = power[:, None] + power[None, :] - 2.0 * gram  # |T_a - T_b|^2
+            neg_d2 = -(power[:, None] + power[None, :] - 2.0 * gram)  # -|T_a - T_b|^2
 
             acc = 0.0
-            for _ in range(settings.n_noise):
-                u = math.sqrt(0.5) * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
-                t = (T @ u.conj()).real  # Re <T_a, u>
-                # |T_a - T_b + u|^2 = d2[a,b] + 2 t_a - 2 t_b + |u|^2
-                scores = -d2 - 2.0 * t[:, None] + 2.0 * t[None, :]
-                m = scores.max(axis=1, keepdims=True)
-                lse = np.log(np.sum(np.exp(scores - m), axis=1)) + m[:, 0]
-                acc += float(np.mean(lse)) - float(np.sum(np.abs(u) ** 2))
+            for start in range(0, settings.n_noise, _NOISE_CHUNK):
+                z = rng.standard_normal((min(_NOISE_CHUNK, settings.n_noise - start), 2, N))
+                for u in math.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1]):
+                    t = (T @ u.conj()).real  # Re <T_a, u>
+                    # -|T_a - T_b + u|^2 = -d2[a,b] - 2 t_a + 2 t_b - |u|^2
+                    np.subtract(neg_d2, 2.0 * t[:, None], out=scores)
+                    scores += 2.0 * t[None, :]
+                    m = scores.max(axis=1, keepdims=True)
+                    scores -= m
+                    np.maximum(scores, _EXP_FLOOR, out=scores)
+                    np.exp(scores, out=scores)
+                    lse = np.log(np.sum(scores, axis=1)) + m[:, 0]
+                    acc += float(np.mean(lse)) - float(np.sum(np.abs(u) ** 2))
             mean_log = acc / settings.n_noise
             vals[row] = (M * math.log(K) - N - mean_log) / M
             row += 1

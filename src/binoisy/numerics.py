@@ -17,6 +17,7 @@ __all__ = [
     "mixture_expectation",
     "damped_fixed_point",
     "maximize_scalar",
+    "add_branch",
     "hermgauss_nodes",
     "logsumexp",
 ]
@@ -145,6 +146,17 @@ def damped_fixed_point(
         if step <= tol:
             return FixedPointResult(solution=x, iterations=it, residual=step, converged=True)
     return FixedPointResult(solution=x, iterations=max_iter, residual=step, converged=False)
+
+
+def add_branch(branches: list, branch: tuple, same: Callable[[tuple], bool]) -> None:
+    """Append a multi-start branch (x, y, iterations, converged) unless
+    same(b) marks an earlier branch b as the one it found again; that branch
+    then absorbs this start's iterations, so counts cover every start."""
+    for i, b in enumerate(branches):
+        if same(b):
+            branches[i] = (b[0], b[1], b[2] + branch[2], b[3])
+            return
+    branches.append(branch)
 
 
 def maximize_scalar(

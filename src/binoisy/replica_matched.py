@@ -18,7 +18,7 @@ import numpy as np
 
 from .decoupled import DecoupledTrue, matched_scalar_mi, matched_second_moment
 from .model import Constellation, RateResult, SystemConfig
-from .numerics import DEFAULT_ORDER, damped_fixed_point
+from .numerics import DEFAULT_ORDER, add_branch, damped_fixed_point
 
 __all__ = [
     "MatchedAux",
@@ -129,9 +129,8 @@ def solve_matched_primary(
     for seed in (_EPS_SEED_FLOOR, P):
         out = damped_fixed_point(F, [seed], damping=damping, tol=tol, max_iter=max_iter)
         eps = float(out.solution[0])
-        if any(abs(eps - b[1]) <= 1e-8 * (1.0 + eps) for b in branches):
-            continue
-        branches.append((cfg.trinv_rw_plus(eps) / M, eps, out.iterations, out.converged))
+        add_branch(branches, (cfg.trinv_rw_plus(eps) / M, eps, out.iterations, out.converged),
+                   lambda b: abs(eps - b[1]) <= 1e-8 * (1.0 + eps))
     return branches
 
 

@@ -26,7 +26,7 @@ from .decoupled import (
     true_mse,
 )
 from .model import Constellation, RateResult, SystemConfig
-from .numerics import DEFAULT_ORDER, damped_fixed_point, maximize_scalar
+from .numerics import DEFAULT_ORDER, add_branch, damped_fixed_point, maximize_scalar
 from .replica_matched import matched_mi
 
 __all__ = [
@@ -161,9 +161,8 @@ def solve_xi_discrete(
         x0 = [s_tilde / (alpha * (1.0 + s_tilde * et0)), et0]
         out = damped_fixed_point(F, x0, damping=damping, tol=tol, max_iter=max_iter)
         xi, et = float(out.solution[0]), float(out.solution[1])
-        if any(abs(xi - b[0]) <= 1e-8 * (1.0 + xi) and abs(et - b[1]) <= 1e-8 * (1.0 + et) for b in branches):
-            continue
-        branches.append((xi, et, out.iterations, out.converged))
+        add_branch(branches, (xi, et, out.iterations, out.converged),
+                   lambda b: abs(xi - b[0]) <= 1e-8 * (1.0 + xi) and abs(et - b[1]) <= 1e-8 * (1.0 + et))
     return branches
 
 
@@ -205,9 +204,8 @@ def solve_eta_eps(
     for seed in (1e-6, gbar + r_v):
         out = damped_fixed_point(F, [seed], damping=damping, tol=tol, max_iter=max_iter)
         eps = float(out.solution[0])
-        if any(abs(eps - b[1]) <= 1e-8 * (1.0 + eps) for b in branches):
-            continue
-        branches.append((1.0 / (alpha * (cw + eps)), eps, out.iterations, out.converged))
+        add_branch(branches, (1.0 / (alpha * (cw + eps)), eps, out.iterations, out.converged),
+                   lambda b: abs(eps - b[1]) <= 1e-8 * (1.0 + eps))
     return branches
 
 
@@ -444,8 +442,8 @@ def gmi_at_s_general(
         _, xi0 = general_aux_traces(cfg.R_w, R_tilde, s, 0.0, et0, alpha)
         out = damped_fixed_point(stage1_map, [xi0, et0], damping=damping, tol=tol, max_iter=max_iter)
         xi, et = float(out.solution[0]), float(out.solution[1])
-        if not any(abs(xi - b[0]) <= 1e-8 * (1.0 + xi) for b in stage1):
-            stage1.append((xi, et, out.iterations, out.converged))
+        add_branch(stage1, (xi, et, out.iterations, out.converged),
+                   lambda b: abs(xi - b[0]) <= 1e-8 * (1.0 + xi))
 
     best = None
     total_iters = 0

@@ -21,6 +21,13 @@ def test_settings_validation():
         McSettings(n_channels=1)
     with pytest.raises(ValueError):
         McSettings(n_noise=0)
+    for field, bad in (("n_channels", 150.0), ("n_channels", True), ("n_channels", "150"),
+                       ("n_noise", 2.5), ("n_noise", np.float64(3.0)), ("seed", -1),
+                       ("seed", 1.0), ("seed", False)):
+        with pytest.raises(ValueError, match=field):
+            McSettings(**{field: bad})
+    # numpy integers are integers; the CLI's derived seeds are plain ints
+    assert McSettings(n_channels=np.int64(5), n_noise=np.uint32(2), seed=np.int64(7)).seed == 7
 
 
 def test_channel_entries_have_unit_column_energy():
@@ -117,3 +124,46 @@ def test_discrete_reference_rescales_constellation_power():
     a = mc_mi_matched_discrete(cfg, con_right, settings)
     b = mc_mi_matched_discrete(cfg, con_wrong, settings)
     assert a.rate_nats == pytest.approx(b.rate_nats, abs=1e-12)
+
+
+def test_batched_draw_equals_consecutive_sample_channel_calls():
+    from binoisy.montecarlo import _draw_channels
+
+    batch = _draw_channels(4, 2, 3, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    singles = np.stack([sample_channel(2, 3, rng) for _ in range(4)])
+    assert batch.shape == (4, 3, 2)
+    assert np.array_equal(singles, batch)
+
+
+# float.hex of (rate_nats, stderr_nats), frozen from the per-channel loops the
+# batched references replaced; any change in draw order, reduction order or
+# the log-sum-exp clamp shows up here as a changed bit
+_FROZEN_GAUSSIAN = {
+    "matched": ("0x1.30f5dd89db0f9p+1", "0x1.21c528e6f7dfbp-7"),
+    "gmi": ("0x1.29b4b777bf6e3p+1", "0x1.a473b191d89eep-7"),
+}
+_FROZEN_DISCRETE = {
+    # 25 dB at -30 dB EVM puts most log-sum-exp exponents below the clamp
+    ("qpsk", 25.0, -30.0): ("0x1.37bd95c8d6865p+0", "0x1.07f6668703d3fp-4"),
+    ("qam16", 25.0, -30.0): ("0x1.4d50cfa772babp+1", "0x1.07f66b56cd192p-4"),
+    # few clamped terms: the order of the score additions shows here
+    ("qam16", 5.0, -10.0): ("0x1.17a439d14a98ep+0", "0x1.5491201e04cefp-4"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FROZEN_GAUSSIAN))
+def test_gaussian_references_are_bit_frozen(kind):
+    # 1050 channels: ten full blocks and a partial one
+    cfg = make_config(2, 3, 12.0, evm_db=-15.0)
+    fn = mc_mi_matched_gaussian if kind == "matched" else mc_gmi_gaussian
+    res = fn(cfg, McSettings(n_channels=1050))
+    assert (res.rate_nats.hex(), res.stderr_nats.hex()) == _FROZEN_GAUSSIAN[kind]
+
+
+@pytest.mark.parametrize("kind,snr_db,evm_db", sorted(_FROZEN_DISCRETE))
+def test_discrete_reference_is_bit_frozen(kind, snr_db, evm_db):
+    cfg = make_config(2, 3, snr_db, evm_db=evm_db)
+    con = make_constellation(kind, cfg.gamma_bar)
+    res = mc_mi_matched_discrete(cfg, con, McSettings(n_channels=7, n_noise=13))
+    assert (res.rate_nats.hex(), res.stderr_nats.hex()) == _FROZEN_DISCRETE[kind, snr_db, evm_db]

@@ -128,3 +128,22 @@ def test_finite_snr_approaches_highsnr_limit():
     limit = matched_mi_highsnr(1.0, 0.1)
     assert res.rate_nats == pytest.approx(limit, rel=5e-3)
     assert res.rate_nats < limit  # finite snr stays below the ceiling
+
+
+def test_iterations_count_every_start(monkeypatch):
+    # both starts land on one branch here; the duplicate's iterations count too
+    import binoisy.replica_matched as rm
+
+    ran = []
+    inner = rm.damped_fixed_point
+
+    def counting(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        ran.append(out.iterations)
+        return out
+
+    monkeypatch.setattr(rm, "damped_fixed_point", counting)
+    cfg = make_config(4, 4, 10.0, evm_db=-20.0)
+    res = matched_mi(cfg, make_constellation("qpsk", cfg.gamma_bar))
+    assert len(ran) == 2
+    assert res.iterations == sum(ran)

@@ -170,3 +170,26 @@ def test_finite_snr_approaches_highsnr_gmi():
     res = gmi(cfg, make_constellation("gaussian", cfg.gamma_bar))
     limit = gmi_highsnr_gaussian(1.0, 0.1)
     assert res.rate_nats == pytest.approx(limit.rate_nats, rel=1e-3)
+
+
+@pytest.mark.parametrize("kind,s_tilde", [("qpsk", 0.5), ("qam16", 2.0), ("gaussian", 0.5)])
+def test_gmi_at_s_iterations_count_every_start(monkeypatch, kind, s_tilde):
+    import binoisy.replica_mismatched as rmm
+
+    ran = []
+    inner = rmm.damped_fixed_point
+
+    def counting(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        ran.append(out.iterations)
+        return out
+
+    monkeypatch.setattr(rmm, "damped_fixed_point", counting)
+    cfg = make_config(4, 4, 10.0, evm_db=-20.0)
+    con = make_constellation(kind, cfg.gamma_bar)
+    _, aux = gmi_at_s(s_tilde, cfg, con)
+    assert aux.iterations == sum(ran)
+    assert (len(ran) >= 4) == (kind != "gaussian")
+    ran.clear()
+    _, aux = rmm.gmi_at_s_general(s_tilde, cfg, con, np.eye(4))
+    assert aux.iterations == sum(ran) and len(ran) >= 4
