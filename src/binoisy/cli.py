@@ -148,7 +148,7 @@ _RATE_FLAGS = [
     _Flag("--evm", _parse_float_list, [-math.inf], "comma list of EVM values in dB (-inf for ideal)", metavar="LIST"),
     _Flag("--M", int, 4, "transmit streams", metavar="M"),
     _Flag("--N", int, 4, "receive antennas", metavar="N"),
-    _Flag("--max-iter", int, 500, "fixed-point iteration budget", metavar="K"),
+    _Flag("--max-iter", int, 500, "fixed-point iteration budget per start", metavar="K"),
     _Flag("--nats", None, False, "report rates in nats instead of bits"),
 ] + _COMMON
 
@@ -163,7 +163,7 @@ _VALIDATE_FLAGS = [
     _Flag("--seed", int, 0, "root seed for the Monte Carlo draws", metavar="S"),
     _Flag("--n-channels", int, 0, "channel draws per point (0 = 10000 Gaussian, 1000 discrete)", metavar="K"),
     _Flag("--n-noise", int, 100, "noise draws per channel (discrete oracle only)", metavar="K"),
-    _Flag("--max-iter", int, 500, "fixed-point iteration budget", metavar="K"),
+    _Flag("--max-iter", int, 500, "fixed-point iteration budget per start", metavar="K"),
     _Flag("--nats", None, False, "report rates in nats instead of bits"),
 ] + _COMMON
 

@@ -112,15 +112,14 @@ def _blocks(n: int, seed: int) -> Iterator[tuple[np.random.Generator, int]]:
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     n = values.size
-    mean = math.fsum(values) / n
-    var = math.fsum((values - mean) ** 2) / (n - 1)
+    mean = math.fsum(values.tolist()) / n
+    var = math.fsum(((values - mean) ** 2).tolist()) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
 def mc_gmi_gaussian(
     cfg: SystemConfig,
     settings: McSettings = McSettings(),
-    refine_tol: float = 1e-6,
 ) -> McResult:
     """Ensemble GMI in nats per stream for Gaussian inputs and a white
     postulated covariance, by direct channel averaging.
@@ -152,9 +151,9 @@ def mc_gmi_gaussian(
         return (logdet + s * (trace - const)) / M
 
     def objective(s: float) -> float:
-        return math.fsum(per_channel(s)) / settings.n_channels
+        return math.fsum(per_channel(s).tolist()) / settings.n_channels
 
-    s_star, _ = maximize_scalar(objective, seed_grid(1.0 / (cfg.cw + r_v)), refine_tol=refine_tol)
+    s_star, _ = maximize_scalar(objective, seed_grid(1.0 / (cfg.cw + r_v)))
     mean, stderr = _mean_stderr(per_channel(s_star))
     return McResult(rate_nats=mean, stderr_nats=stderr, n_channels=settings.n_channels)
 

@@ -1,10 +1,17 @@
 """Shared numerical machinery: complex-plane Gauss-Hermite quadrature, damped
-fixed-point iteration with divergence guards, and seeded scalar maximization."""
+fixed-point iteration with divergence guards, the multi-start policy that
+turns several fixed-point runs into distinct solution branches, and seeded
+scalar maximization.
+
+The replica solvers and the Monte Carlo GMI reference run both primitives at
+their defaults: damping 0.5 and step tolerance 1e-10 per fixed-point start,
+golden-section tolerance 1e-6 on the log axis. Only the per-start iteration
+budget max_iter (the CLI's --max-iter) reaches them from outside."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -17,9 +24,8 @@ __all__ = [
     "mixture_expectation",
     "damped_fixed_point",
     "maximize_scalar",
-    "add_branch",
+    "multi_start",
     "hermgauss_nodes",
-    "logsumexp",
 ]
 
 DEFAULT_ORDER = 48
@@ -38,12 +44,6 @@ def hermgauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"quadrature order must be in [1, {_MAX_ORDER}], got {order}")
     t, w = np.polynomial.hermite.hermgauss(order)
     return t, w / math.sqrt(math.pi)
-
-
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m[..., 0] if axis == -1 else np.squeeze(m, axis=axis)
-    return out + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
 def gaussian_expectation(
@@ -148,15 +148,25 @@ def damped_fixed_point(
     return FixedPointResult(solution=x, iterations=max_iter, residual=step, converged=False)
 
 
-def add_branch(branches: list, branch: tuple, same: Callable[[tuple], bool]) -> None:
-    """Append a multi-start branch (x, y, iterations, converged) unless
-    same(b) marks an earlier branch b as the one it found again; that branch
-    then absorbs this start's iterations, so counts cover every start."""
-    for i, b in enumerate(branches):
-        if same(b):
-            branches[i] = (b[0], b[1], b[2] + branch[2], b[3])
-            return
-    branches.append(branch)
+def multi_start(
+    run: Callable[[Sequence[float]], FixedPointResult],
+    starts: Iterable[Sequence[float]],
+) -> list[FixedPointResult]:
+    """run(x0) from every start, keeping one result per distinct solution, in
+    start order. A start whose solution lies within 1e-8 (1 + |x|) of an
+    earlier result in every component found that branch again: its
+    iterations are added to that result, so counts cover every start."""
+    found: list[FixedPointResult] = []
+    for x0 in starts:
+        out = run(x0)
+        x = out.solution
+        for i, b in enumerate(found):
+            if np.all(np.abs(x - b.solution) <= 1e-8 * (1.0 + np.abs(x))):
+                found[i] = replace(b, iterations=b.iterations + out.iterations)
+                break
+        else:
+            found.append(out)
+    return found
 
 
 def maximize_scalar(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .decoupled import DecoupledTrue, matched_scalar_mi, matched_second_moment
 from .model import Constellation, RateResult, SystemConfig
-from .numerics import DEFAULT_ORDER, add_branch, damped_fixed_point
+from .numerics import DEFAULT_ORDER, damped_fixed_point, multi_start
 
 __all__ = [
     "MatchedAux",
@@ -99,8 +99,6 @@ def solve_matched_primary(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    damping: float = 0.5,
-    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> list[tuple[float, float, int, bool]]:
     """Solve eta = tr((R_w + eps I)^-1)/M jointly with
@@ -125,13 +123,9 @@ def solve_matched_primary(
         ctx = DecoupledTrue(eta=eta, r_v=cfg.r_v, constellation=constellation)
         return np.array([P - matched_second_moment(ctx, order)])
 
-    branches = []
-    for seed in (_EPS_SEED_FLOOR, P):
-        out = damped_fixed_point(F, [seed], damping=damping, tol=tol, max_iter=max_iter)
-        eps = float(out.solution[0])
-        add_branch(branches, (cfg.trinv_rw_plus(eps) / M, eps, out.iterations, out.converged),
-                   lambda b: abs(eps - b[1]) <= 1e-8 * (1.0 + eps))
-    return branches
+    found = multi_start(lambda x0: damped_fixed_point(F, x0, max_iter=max_iter), ([_EPS_SEED_FLOOR], [P]))
+    return [(cfg.trinv_rw_plus(float(r.solution[0])) / M, float(r.solution[0]), r.iterations, r.converged)
+            for r in found]
 
 
 def _mi_from_branch(cfg: SystemConfig, constellation: Constellation, eta: float, eps: float,
@@ -150,8 +144,6 @@ def matched_mi(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    damping: float = 0.5,
-    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> RateResult:
     """Per-stream mutual information in nats under matched decoding.
@@ -162,7 +154,7 @@ def matched_mi(
     minimizer.
     """
     eta_p, eps_p = solve_matched_prime(cfg)
-    branches = solve_matched_primary(cfg, constellation, order, damping, tol, max_iter)
+    branches = solve_matched_primary(cfg, constellation, order, max_iter)
     usable = [b for b in branches if b[3]] or branches
     best = None
     for eta, eps, its, conv in usable:

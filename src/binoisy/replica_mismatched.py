@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .decoupled import (
     true_mse,
 )
 from .model import Constellation, RateResult, SystemConfig
-from .numerics import DEFAULT_ORDER, add_branch, damped_fixed_point, maximize_scalar
+from .numerics import DEFAULT_ORDER, damped_fixed_point, maximize_scalar, multi_start
 from .replica_matched import matched_mi
 
 __all__ = [
@@ -58,8 +58,6 @@ def _rate_ceiling(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int,
-    damping: float = 0.5,
-    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> float:
     """Matched-decoder rate used to screen the postulated-scale sweep.
@@ -73,8 +71,7 @@ def _rate_ceiling(
     """
     if constellation.is_gaussian:
         return math.inf
-    ceiling = matched_mi(cfg, constellation, order, damping=damping, tol=tol,
-                         max_iter=max_iter)
+    ceiling = matched_mi(cfg, constellation, order, max_iter=max_iter)
     if not ceiling.converged:
         return math.inf
     return ceiling.rate_nats + _CEILING_TOL
@@ -134,8 +131,6 @@ def solve_xi_discrete(
     alpha: float,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    damping: float = 0.5,
-    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> list[tuple[float, float, int, bool]]:
     """Jointly solve xi = s_tilde/(alpha (1 + s_tilde eps_tilde)) with
@@ -156,14 +151,9 @@ def solve_xi_discrete(
         xi, et = float(x[0]), float(x[1])
         return np.array([s_tilde / (alpha * (1.0 + s_tilde * et)), mmse_at(max(xi, 1e-300))])
 
-    branches = []
-    for et0 in (0.0, gbar):
-        x0 = [s_tilde / (alpha * (1.0 + s_tilde * et0)), et0]
-        out = damped_fixed_point(F, x0, damping=damping, tol=tol, max_iter=max_iter)
-        xi, et = float(out.solution[0]), float(out.solution[1])
-        add_branch(branches, (xi, et, out.iterations, out.converged),
-                   lambda b: abs(xi - b[0]) <= 1e-8 * (1.0 + xi) and abs(et - b[1]) <= 1e-8 * (1.0 + et))
-    return branches
+    starts = [[s_tilde / (alpha * (1.0 + s_tilde * et0)), et0] for et0 in (0.0, gbar)]
+    found = multi_start(lambda x0: damped_fixed_point(F, x0, max_iter=max_iter), starts)
+    return [(float(r.solution[0]), float(r.solution[1]), r.iterations, r.converged) for r in found]
 
 
 def solve_eta_eps(
@@ -171,8 +161,6 @@ def solve_eta_eps(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    damping: float = 0.5,
-    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> list[tuple[float, float, int, bool]]:
     """Solve eta = 1/(alpha (tr(R_w)/N + eps)) with eps the true mean-square
@@ -200,13 +188,9 @@ def solve_eta_eps(
         true = DecoupledTrue(eta=eta, r_v=r_v, constellation=constellation)
         return np.array([true_mse(true, post, order)])
 
-    branches = []
-    for seed in (1e-6, gbar + r_v):
-        out = damped_fixed_point(F, [seed], damping=damping, tol=tol, max_iter=max_iter)
-        eps = float(out.solution[0])
-        add_branch(branches, (1.0 / (alpha * (cw + eps)), eps, out.iterations, out.converged),
-                   lambda b: abs(eps - b[1]) <= 1e-8 * (1.0 + eps))
-    return branches
+    found = multi_start(lambda x0: damped_fixed_point(F, x0, max_iter=max_iter), ([1e-6], [gbar + r_v]))
+    return [(1.0 / (alpha * (cw + float(r.solution[0]))), float(r.solution[0]), r.iterations, r.converged)
+            for r in found]
 
 
 def free_energy(aux: MismatchedAux, cfg: SystemConfig, constellation: Constellation,
@@ -235,8 +219,6 @@ def gmi_at_s(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    damping: float = 0.5,
-    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> tuple[float, MismatchedAux]:
     """Per-stream GMI in nats at a fixed postulated noise scale s_tilde.
@@ -252,7 +234,7 @@ def gmi_at_s(
         xi = xi_gaussian_closed_form(alpha, gbar, s_tilde)
         stage1 = [(xi, gbar / (1.0 + xi * gbar), 0, True)]
     else:
-        stage1 = solve_xi_discrete(s_tilde, alpha, constellation, order, damping, tol, max_iter)
+        stage1 = solve_xi_discrete(s_tilde, alpha, constellation, order, max_iter)
 
     best: Optional[MismatchedAux] = None
     total_iters = 0
@@ -261,7 +243,7 @@ def gmi_at_s(
         total_iters += it1
         if xi <= 0:
             continue
-        for eta, eps, it2, conv2 in solve_eta_eps(xi, cfg, constellation, order, damping, tol, max_iter):
+        for eta, eps, it2, conv2 in solve_eta_eps(xi, cfg, constellation, order, max_iter):
             total_iters += it2
             cand = MismatchedAux(
                 s_tilde=s_tilde, xi=xi, eta=eta, eps=eps, eps_tilde=eps_t,
@@ -282,48 +264,61 @@ def gmi_at_s(
     return value, best
 
 
-def gmi(
+def _scale_search(
+    at_s: Callable[[float], tuple[float, MismatchedAux]],
+    seeds: np.ndarray,
     cfg: SystemConfig,
     constellation: Constellation,
-    order: int = DEFAULT_ORDER,
-    refine_tol: float = 1e-6,
-    damping: float = 0.5,
-    tol: float = 1e-10,
+    order: int,
     max_iter: int = 500,
 ) -> RateResult:
-    """Per-stream GMI in nats, supremum over the postulated noise scale."""
+    """Supremum of at_s(s) -> (value, aux) over the postulated scale s.
+
+    Scan points that raise, fail to converge or cross the matched-rate
+    ceiling are dropped; iterations are summed over every scan point.
+    """
     cache: dict[float, tuple[float, MismatchedAux]] = {}
-    counter = {"iters": 0}
-    ceiling = _rate_ceiling(cfg, constellation, order, damping, tol, max_iter)
+    iterations = 0
+    ceiling = _rate_ceiling(cfg, constellation, order, max_iter)
 
     def objective(s):
+        nonlocal iterations
         try:
-            val, aux = gmi_at_s(s, cfg, constellation, order, damping, tol, max_iter)
+            val, aux = at_s(s)
         except ValueError:
             return -math.inf
         cache[s] = (val, aux)
-        counter["iters"] += aux.iterations
+        iterations += aux.iterations
         if not aux.converged or val > ceiling:
             return -math.inf
         return val
 
-    seeds = seed_grid(1.0 / (cfg.cw + cfg.r_v))
-    s_star, val = maximize_scalar(objective, seeds, refine_tol=refine_tol)
-    if s_star in cache:
-        val, aux = cache[s_star]
-    else:
-        val, aux = gmi_at_s(s_star, cfg, constellation, order, damping, tol, max_iter)
+    # maximize_scalar only returns a point it evaluated to a finite value,
+    # and every such point is cached
+    s_star, _ = maximize_scalar(objective, seeds)
+    val, aux = cache[s_star]
     return RateResult(
         rate_nats=val,
         params={"eta": aux.eta, "xi": aux.xi, "eps": aux.eps, "eps_tilde": aux.eps_tilde},
         s_tilde=s_star,
         free_energy=aux.free_energy,
         converged=aux.converged,
-        iterations=counter["iters"],
+        iterations=iterations,
     )
 
 
-def gmi_highsnr_gaussian(alpha: float, kappa: float, refine_tol: float = 1e-6) -> RateResult:
+def gmi(
+    cfg: SystemConfig,
+    constellation: Constellation,
+    order: int = DEFAULT_ORDER,
+    max_iter: int = 500,
+) -> RateResult:
+    """Per-stream GMI in nats, supremum over the postulated noise scale."""
+    return _scale_search(lambda s: gmi_at_s(s, cfg, constellation, order, max_iter),
+                         seed_grid(1.0 / (cfg.cw + cfg.r_v)), cfg, constellation, order, max_iter)
+
+
+def gmi_highsnr_gaussian(alpha: float, kappa: float) -> RateResult:
     """Infinite-SNR limit of the Gaussian-signaling GMI, in nats per stream.
 
     The limit keeps its own scalar optimization over the rescaled noise
@@ -343,7 +338,7 @@ def gmi_highsnr_gaussian(alpha: float, kappa: float, refine_tol: float = 1e-6) -
         x = xi_g(sg)
         return math.log(sg / (alpha * x)) / alpha + math.log1p(x) + k2 * x / (1.0 + x) - sg * k2 / alpha
 
-    sg_star, val = maximize_scalar(h, seed_grid(1.0 / k2), refine_tol=refine_tol)
+    sg_star, val = maximize_scalar(h, seed_grid(1.0 / k2))
     return RateResult(
         rate_nats=val,
         params={"xi": xi_g(sg_star)},
@@ -420,13 +415,10 @@ def gmi_at_s_general(
     constellation: Constellation,
     R_tilde: np.ndarray,
     order: int = DEFAULT_ORDER,
-    damping: float = 0.5,
-    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> tuple[float, MismatchedAux]:
     """GMI at fixed s for an arbitrary Hermitian postulated covariance."""
     alpha = cfg.alpha
-    N = cfg.N
 
     def mmse_at(xi):
         return postulated_mmse(DecoupledPostulated(xi=xi, constellation=constellation), order)
@@ -437,18 +429,14 @@ def gmi_at_s_general(
         return np.array([xi_new, mmse_at(max(xi, 1e-300))])
 
     gbar = constellation.gamma_bar
-    stage1 = []
-    for et0 in (0.0, gbar):
-        _, xi0 = general_aux_traces(cfg.R_w, R_tilde, s, 0.0, et0, alpha)
-        out = damped_fixed_point(stage1_map, [xi0, et0], damping=damping, tol=tol, max_iter=max_iter)
-        xi, et = float(out.solution[0]), float(out.solution[1])
-        add_branch(stage1, (xi, et, out.iterations, out.converged),
-                   lambda b: abs(xi - b[0]) <= 1e-8 * (1.0 + xi))
+    starts = [[general_aux_traces(cfg.R_w, R_tilde, s, 0.0, et0, alpha)[1], et0] for et0 in (0.0, gbar)]
+    stage1 = multi_start(lambda x0: damped_fixed_point(stage1_map, x0, max_iter=max_iter), starts)
 
     best = None
     total_iters = 0
-    for xi, eps_t, it1, conv1 in stage1:
-        total_iters += it1
+    for r1 in stage1:
+        xi, eps_t = float(r1.solution[0]), float(r1.solution[1])
+        total_iters += r1.iterations
         post = DecoupledPostulated(xi=xi, constellation=constellation)
 
         def stage2_map(x):
@@ -457,15 +445,16 @@ def gmi_at_s_general(
             true = DecoupledTrue(eta=eta, r_v=cfg.r_v, constellation=constellation)
             return np.array([true_mse(true, post, order)])
 
-        for seed in (1e-6, gbar + cfg.r_v):
-            out = damped_fixed_point(stage2_map, [seed], damping=damping, tol=tol, max_iter=max_iter)
-            eps = float(out.solution[0])
-            total_iters += out.iterations
+        stage2 = multi_start(lambda x0: damped_fixed_point(stage2_map, x0, max_iter=max_iter),
+                             ([1e-6], [gbar + cfg.r_v]))
+        for r2 in stage2:
+            eps = float(r2.solution[0])
+            total_iters += r2.iterations
             eta, _ = general_aux_traces(cfg.R_w, R_tilde, s, eps, eps_t, alpha)
             f = free_energy_general(s, xi, eta, eps, eps_t, cfg, constellation, R_tilde, order)
             if not math.isfinite(f):
                 continue
-            conv = conv1 and out.converged
+            conv = r1.converged and r2.converged
             if best is None or (conv, -f) > (best[5], -best[4]):
                 best = (xi, eps_t, eta, eps, f, conv)
     if best is None:
@@ -483,7 +472,6 @@ def gmi_general(
     constellation: Constellation,
     R_tilde: np.ndarray,
     order: int = DEFAULT_ORDER,
-    refine_tol: float = 1e-6,
 ) -> RateResult:
     """Supremum of gmi_at_s_general over s. For R_tilde = r I this must agree
     with gmi to the optimizer tolerance regardless of r."""
@@ -492,26 +480,5 @@ def gmi_general(
     if eig[0] <= 0:
         raise ValueError("R_tilde must be Hermitian positive definite")
     scale = float(np.mean(eig).real) / (cfg.cw + cfg.r_v)
-    cache: dict[float, tuple[float, MismatchedAux]] = {}
-    ceiling = _rate_ceiling(cfg, constellation, order)
-
-    def objective(s):
-        try:
-            val, aux = gmi_at_s_general(s, cfg, constellation, R_tilde, order)
-        except ValueError:
-            return -math.inf
-        cache[s] = (val, aux)
-        if not aux.converged or val > ceiling:
-            return -math.inf
-        return val
-
-    s_star, val = maximize_scalar(objective, seed_grid(scale), refine_tol=refine_tol)
-    val, aux = cache.get(s_star) or gmi_at_s_general(s_star, cfg, constellation, R_tilde, order)
-    return RateResult(
-        rate_nats=val,
-        params={"eta": aux.eta, "xi": aux.xi, "eps": aux.eps, "eps_tilde": aux.eps_tilde},
-        s_tilde=s_star,
-        free_energy=aux.free_energy,
-        converged=aux.converged,
-        iterations=aux.iterations,
-    )
+    return _scale_search(lambda s: gmi_at_s_general(s, cfg, constellation, R_tilde, order),
+                         seed_grid(scale), cfg, constellation, order)

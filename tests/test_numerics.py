@@ -10,9 +10,9 @@ from binoisy.numerics import (
     damped_fixed_point,
     gaussian_expectation,
     hermgauss_nodes,
-    logsumexp,
     maximize_scalar,
     mixture_expectation,
+    multi_start,
     real_mixture_expectation,
 )
 
@@ -32,14 +32,6 @@ def test_hermgauss_order_limits():
         hermgauss_nodes(0)
     with pytest.raises(ValueError):
         hermgauss_nodes(193)
-
-
-def test_logsumexp_matches_naive_and_survives_large_inputs():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 6))
-    assert np.allclose(logsumexp(a), np.log(np.exp(a).sum(axis=-1)))
-    big = np.array([1e4, 1e4 + 1.0])
-    assert logsumexp(big) == pytest.approx(1e4 + 1.0 + math.log1p(math.exp(-1.0)))
 
 
 def test_complex_gaussian_expectation_second_moment():
@@ -92,6 +84,33 @@ def test_damped_fixed_point_guards():
     # nonneg clamp keeps variance-like unknowns in range
     res = damped_fixed_point(lambda x: -np.ones_like(x), [1.0], damping=1.0)
     assert res.converged and res.solution[0] == 0.0
+
+
+def test_multi_start_merges_starts_that_find_one_solution():
+    run = lambda x0: damped_fixed_point(lambda x: np.cos(x), x0)
+    single = [run(x0).iterations for x0 in ([0.2], [1.2])]
+    found = multi_start(run, ([0.2], [1.2]))
+    assert len(found) == 1
+    assert found[0].solution[0] == pytest.approx(0.7390851332151607, abs=1e-9)
+    assert found[0].iterations == sum(single)
+
+
+def test_multi_start_keeps_branches_in_start_order():
+    # x - 0.1 sin(2 pi x) is stable at 0 and 1, unstable at 1/2
+    F = lambda x: x - 0.1 * np.sin(2.0 * np.pi * x)
+    found = multi_start(lambda x0: damped_fixed_point(F, x0), ([0.3], [0.8]))
+    assert [round(float(r.solution[0]), 6) for r in found] == [0.0, 1.0]
+    assert all(r.converged for r in found)
+
+
+def test_multi_start_compares_every_component():
+    # fixed points (1, 0) and (1, 1) share their first component; they are
+    # two branches, not one
+    F = lambda x: np.array([1.0, math.sqrt(x[1])])
+    found = multi_start(lambda x0: damped_fixed_point(F, x0, damping=1.0), ([1.0, 0.0], [1.0, 0.5]))
+    assert len(found) == 2
+    assert found[0].solution.tolist() == [1.0, 0.0]
+    assert found[1].solution == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def test_maximize_scalar_refines_past_the_seed_grid():

@@ -193,3 +193,21 @@ def test_gmi_at_s_iterations_count_every_start(monkeypatch, kind, s_tilde):
     ran.clear()
     _, aux = rmm.gmi_at_s_general(s_tilde, cfg, con, np.eye(4))
     assert aux.iterations == sum(ran) and len(ran) >= 4
+
+
+def test_gmi_general_iterations_count_every_scan_point(monkeypatch):
+    import binoisy.replica_mismatched as rmm
+
+    ran = []
+    inner = rmm.gmi_at_s_general
+
+    def counting(*args, **kwargs):
+        val, aux = inner(*args, **kwargs)
+        ran.append(aux.iterations)
+        return val, aux
+
+    monkeypatch.setattr(rmm, "gmi_at_s_general", counting)
+    cfg = anchor_cfg()
+    res = gmi_general(cfg, make_constellation("gaussian", cfg.gamma_bar), np.eye(cfg.N))
+    assert len(ran) > 31
+    assert res.iterations == sum(ran)
