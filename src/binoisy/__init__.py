@@ -48,7 +48,6 @@ from .numerics import (
     DEFAULT_ORDER,
     FixedPointError,
     damped_fixed_point,
-    gaussian_expectation,
     hermgauss_nodes,
     maximize_scalar,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "cross_entropy",
     "damped_fixed_point",
     "free_energy",
-    "gaussian_expectation",
     "gmi",
     "gmi_at_s",
     "gmi_general",

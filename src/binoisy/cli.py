@@ -1,14 +1,20 @@
 """Batch front end: rate sweeps, Monte Carlo validation runs, and EVM
 planning curves as CSV or JSON.
 
-Three subcommands share one plumbing path: build the point list in spec
-order, dispatch points to a worker pool (capped by BINOISY_THREADS), and
-write rows back in spec order regardless of completion order. Floats are
-formatted with %.10g so identical invocations produce byte-identical files;
-wall-clock timing is therefore opt-in (--timing).
+The three subcommands run one point pipeline and differ only in a row of
+_COMMANDS: a point builder that checks the request and returns each point's
+key columns in grid order, a solver that fills one row, and the column list.
+The pipeline dispatches the points to a worker pool (capped by
+BINOISY_THREADS) and writes rows back in grid order regardless of completion
+order. A point whose solver raises keeps only its key columns, is marked
+converged=false, and names itself in one stderr line. Floats are formatted
+with %.10g so identical invocations produce byte-identical files; wall-clock
+timing is therefore opt-in (--timing).
 
 Exit codes: 0 success, 1 at least one point failed to converge (suppressed
-by --allow-partial), 2 malformed request.
+by --allow-partial), 2 malformed request: a bad grid or flag value such as
+--max-iter below 1, --order outside the quadrature's range, or a
+non-finite evm-plan bracket or tolerance.
 """
 
 from __future__ import annotations
@@ -22,19 +28,20 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
 
 from .evm_planner import LossQuery, max_evm_for_loss, rule_of_thumb_evm
-from .model import CONSTELLATION_KINDS, make_config, make_constellation
+from .model import CONSTELLATION_KINDS, RateResult, make_config, make_constellation
 from .montecarlo import (
     McSettings,
     mc_gmi_gaussian,
     mc_mi_matched_discrete,
     mc_mi_matched_gaussian,
 )
-from .numerics import DEFAULT_ORDER
+from .numerics import _MAX_ORDER, DEFAULT_ORDER
 from .replica_matched import matched_mi, matched_mi_highsnr
 from .replica_mismatched import gmi, gmi_highsnr_gaussian
 
@@ -140,57 +147,48 @@ _COMMON = [
     _Flag("--config", str, None, "key=value file supplying defaults for this subcommand", metavar="FILE"),
 ]
 
+# the link grid every subcommand sweeps
+_LINK = [
+    _Flag("--constellation", _parse_kinds, ["gaussian"], "comma list of constellations", metavar="LIST"),
+    _Flag("--snr", _parse_snr, _parse_snr("0:30:5"), "SNR grid in dB (START:STOP:STEP or comma list)", metavar="GRID"),
+    _Flag("--M", int, 4, "transmit streams", metavar="M"),
+    _Flag("--N", int, 4, "receive antennas", metavar="N"),
+]
+
+# replica solves at given EVMs (rate-sweep and validate)
+_SOLVE = [
+    _Flag("--evm", _parse_float_list, [-math.inf], "comma list of EVM values in dB (-inf for ideal)", metavar="LIST"),
+    _Flag("--max-iter", int, 500, "fixed-point iteration budget per start", metavar="K"),
+    _Flag("--nats", None, False, "report rates in nats instead of bits"),
+]
+
+_DECODER = _Flag("--decoder", str, "matched", "decoder(s) to run", choices=("matched", "mismatched", "both"))
+
 _RATE_FLAGS = [
     _Flag("--mode", str, "both", "which decoder analysis to run",
           choices=("matched", "mismatched", "both", "highsnr")),
-    _Flag("--constellation", _parse_kinds, ["gaussian"], "comma list of constellations", metavar="LIST"),
-    _Flag("--snr", _parse_snr, _parse_snr("0:30:5"), "SNR grid in dB (START:STOP:STEP or comma list)", metavar="GRID"),
-    _Flag("--evm", _parse_float_list, [-math.inf], "comma list of EVM values in dB (-inf for ideal)", metavar="LIST"),
-    _Flag("--M", int, 4, "transmit streams", metavar="M"),
-    _Flag("--N", int, 4, "receive antennas", metavar="N"),
-    _Flag("--max-iter", int, 500, "fixed-point iteration budget per start", metavar="K"),
-    _Flag("--nats", None, False, "report rates in nats instead of bits"),
-] + _COMMON
+] + _LINK + _SOLVE + _COMMON
 
 _VALIDATE_FLAGS = [
-    _Flag("--decoder", str, "matched", "which decoder to validate",
-          choices=("matched", "mismatched", "both")),
-    _Flag("--constellation", _parse_kinds, ["gaussian"], "comma list of constellations", metavar="LIST"),
-    _Flag("--snr", _parse_snr, _parse_snr("0:30:5"), "SNR grid in dB", metavar="GRID"),
-    _Flag("--evm", _parse_float_list, [-math.inf], "comma list of EVM values in dB", metavar="LIST"),
-    _Flag("--M", int, 4, "transmit streams", metavar="M"),
-    _Flag("--N", int, 4, "receive antennas", metavar="N"),
+    _DECODER,
     _Flag("--seed", int, 0, "root seed for the Monte Carlo draws", metavar="S"),
     _Flag("--n-channels", int, 0, "channel draws per point (0 = 10000 Gaussian, 1000 discrete)", metavar="K"),
     _Flag("--n-noise", int, 100, "noise draws per channel (discrete oracle only)", metavar="K"),
-    _Flag("--max-iter", int, 500, "fixed-point iteration budget per start", metavar="K"),
-    _Flag("--nats", None, False, "report rates in nats instead of bits"),
-] + _COMMON
+] + _LINK + _SOLVE + _COMMON
 
 _PLAN_FLAGS = [
     _Flag("--loss", float, 0.05, "acceptable fractional rate loss", metavar="FRAC"),
-    _Flag("--decoder", str, "matched", "decoding assumed by the planner",
-          choices=("matched", "mismatched", "both")),
-    _Flag("--constellation", _parse_kinds, ["gaussian"], "comma list of constellations", metavar="LIST"),
-    _Flag("--snr", _parse_snr, _parse_snr("0:30:5"), "SNR grid in dB", metavar="GRID"),
-    _Flag("--M", int, 4, "transmit streams", metavar="M"),
-    _Flag("--N", int, 4, "receive antennas", metavar="N"),
+    _DECODER,
     _Flag("--evm-lo", float, -60.0, "lower end of the EVM search bracket in dB", metavar="DB"),
     _Flag("--evm-hi", float, 0.0, "upper end of the EVM search bracket in dB", metavar="DB"),
     _Flag("--tol-db", float, 0.002, "bisection tolerance in dB", metavar="DB"),
-] + _COMMON
-
-_SUBCOMMANDS = {
-    "rate-sweep": (_RATE_FLAGS, "replica rate curves over an SNR/EVM grid"),
-    "validate": (_VALIDATE_FLAGS, "replica rates against Monte Carlo references"),
-    "evm-plan": (_PLAN_FLAGS, "maximum EVM meeting a rate-loss budget vs SNR"),
-}
+] + _LINK + _COMMON
 
 
 def _attach_dash_values(argv: list[str]) -> list[str]:
     """Write `--flag VALUE` as `--flag=VALUE` when VALUE starts with '-':
     argparse takes -40 as a value but reads -20,-10 or -inf as a flag."""
-    takes_value = {name for flags, _ in _SUBCOMMANDS.values() for f in flags
+    takes_value = {name for cmd in _COMMANDS.values() for f in cmd.flags
                    if f.conv is not None for name in (f.name, f.short) if name}
     out: list[str] = []
     for tok in argv:
@@ -207,9 +205,9 @@ def _build_parser(suppress_defaults: bool) -> argparse.ArgumentParser:
         description="Achievable rates of MIMO links with transmit-side distortion.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, (flags, blurb) in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(command, help=blurb)
-        for f in flags:
+    for command, cmd in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=cmd.blurb)
+        for f in cmd.flags:
             names = [f.short, f.name] if f.short else [f.name]
             default = argparse.SUPPRESS if suppress_defaults else f.default
             if f.conv is None:
@@ -228,7 +226,7 @@ def _build_parser(suppress_defaults: bool) -> argparse.ArgumentParser:
 
 def _apply_config(args: argparse.Namespace, explicit: argparse.Namespace) -> None:
     """Overlay key=value pairs from --config; explicit flags win."""
-    flags = {f.dest: f for f in _SUBCOMMANDS[args.command][0]}
+    flags = {f.dest: f for f in _COMMANDS[args.command].flags}
     path = args.config
     try:
         with open(path, encoding="utf-8") as fh:
@@ -309,20 +307,24 @@ def _json_value(value):
 
 
 def _write(args: argparse.Namespace, columns: list[str], rows: list[dict]) -> None:
+    """Write rows in column order; a {unit} placeholder in a column name
+    becomes bits or nats in the header."""
+    unit = "nats" if getattr(args, "nats", False) else "bits"
+    header = [c.format(unit=unit) for c in columns]
     own = args.output != "-"
     fh = open(args.output, "w", encoding="utf-8", newline="") if own else sys.stdout
     try:
         if args.format == "json":
             payload = {
                 "command": args.command,
-                "columns": columns,
-                "rows": [{c: _json_value(row.get(c)) for c in columns} for row in rows],
+                "columns": header,
+                "rows": [{h: _json_value(row.get(c)) for h, c in zip(header, columns)} for row in rows],
             }
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         else:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
+            writer.writerow(header)
             for row in rows:
                 writer.writerow([_fmt(row.get(c)) for c in columns])
     finally:
@@ -330,102 +332,60 @@ def _write(args: argparse.Namespace, columns: list[str], rows: list[dict]) -> No
             fh.close()
 
 
-def _rate_unit(args) -> str:
-    return "nats" if getattr(args, "nats", False) else "bits"
-
-
 def _to_unit(rate_nats: float, args) -> float:
-    return rate_nats if getattr(args, "nats", False) else rate_nats / _LN2
-
-
-def _clocked(row: dict, t0: float, args) -> dict:
-    if args.timing:
-        row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-    return row
-
-
-def _failure(row: dict, point_desc: str, exc: Exception) -> tuple[dict, bool]:
-    print(f"binoisy: {point_desc}: {exc}", file=sys.stderr)
-    row.update(converged=False)
-    return row, False
+    return rate_nats if args.nats else rate_nats / _LN2
 
 
 # ---------------------------------------------------------------------------
-# rate-sweep
+# point builders: check the request, return each point's key columns in grid
+# order
 # ---------------------------------------------------------------------------
 
-def _run_rate_sweep(args) -> tuple[list[str], list[dict], bool]:
-    modes = {
-        "matched": ["matched"],
-        "mismatched": ["mismatched"],
-        "both": ["matched", "mismatched"],
-        "highsnr": ["highsnr-matched", "highsnr-mismatched"],
-    }[args.mode]
-    _check_grid(args)
+def _check_shared(args) -> None:
+    """Check the flag groups that subcommands share."""
+    if args.M < 1 or args.N < 1:
+        raise UsageError(f"M and N must be positive, got M={args.M}, N={args.N}")
+    if not args.snr:
+        raise UsageError("empty SNR grid")
+    if any(not math.isfinite(s) for s in args.snr):
+        raise UsageError("SNR grid must be finite")
+    if not 1 <= args.order <= _MAX_ORDER:
+        raise UsageError(f"--order must be in [1, {_MAX_ORDER}], got {args.order}")
+    if "evm" in args:
+        if not args.evm:
+            raise UsageError("empty EVM list")
+        for e in args.evm:
+            if not e <= 0:  # also rejects NaN
+                raise UsageError(f"EVM must be <= 0 dB, got {e:g}")
+        if args.max_iter < 1:
+            raise UsageError(f"--max-iter must be positive, got {args.max_iter}")
+
+
+def _decoders(choice: str) -> list[str]:
+    return [choice] if choice in ("matched", "mismatched") else ["matched", "mismatched"]
+
+
+def _rate_points(args) -> list[dict]:
+    modes, snrs = _decoders(args.mode), args.snr
+    _check_shared(args)
     if args.mode == "highsnr":
         if any(k != "gaussian" for k in args.constellation):
             raise UsageError("highsnr mode is a Gaussian-signaling limit; use --constellation gaussian")
         if any(math.isinf(e) for e in args.evm):
             raise UsageError("highsnr mode needs a finite EVM (the ideal-hardware limit diverges)")
+        # the infinite-SNR limit does not depend on the SNR grid; emit one row
+        modes, snrs = ["highsnr-" + m for m in modes], [math.inf]
+    return [{"mode": mode, "constellation": kind, "snr_db": snr, "evm_db": evm}
+            for kind, snr, evm, mode in product(args.constellation, snrs, args.evm, modes)]
 
-    unit = _rate_unit(args)
-    rate_col = f"rate_{unit}_per_stream"
-    columns = ["mode", "constellation", "snr_db", "evm_db", rate_col,
-               "s_tilde_star", "eta", "xi", "eps", "eps_tilde",
-               "eta_prime", "eps_prime", "converged", "iterations"]
-    if args.timing:
-        columns.append("wall_ms")
-
-    # the infinite-SNR limit does not depend on the SNR grid; emit one row
-    snrs = [math.inf] if args.mode == "highsnr" else args.snr
-    points = [(kind, snr, evm, mode)
-              for kind in args.constellation
-              for snr in snrs
-              for evm in args.evm
-              for mode in modes]
-
-    def work(point):
-        kind, snr, evm, mode = point
-        t0 = time.perf_counter()
-        row = {"mode": mode, "constellation": kind, "snr_db": snr, "evm_db": evm}
-        try:
-            if mode == "highsnr-matched":
-                row[rate_col] = _to_unit(matched_mi_highsnr(args.M / args.N, 10.0 ** (evm / 20.0)), args)
-                row.update(converged=True, iterations=0)
-            elif mode == "highsnr-mismatched":
-                res = gmi_highsnr_gaussian(args.M / args.N, 10.0 ** (evm / 20.0))
-                row.update({rate_col: _to_unit(res.rate_nats, args), "s_tilde_star": res.s_tilde,
-                            "xi": res.params["xi"], "converged": res.converged,
-                            "iterations": res.iterations})
-            else:
-                cfg = make_config(args.M, args.N, snr, evm)
-                con = make_constellation(kind, cfg.gamma_bar)
-                if mode == "matched":
-                    res = matched_mi(cfg, con, order=args.order, max_iter=args.max_iter)
-                else:
-                    res = gmi(cfg, con, order=args.order, max_iter=args.max_iter)
-                row.update({rate_col: _to_unit(res.rate_nats, args), "s_tilde_star": res.s_tilde,
-                            "converged": res.converged, "iterations": res.iterations})
-                row.update(res.params)
-            return _clocked(row, t0, args), bool(row["converged"])
-        except Exception as exc:
-            return _failure(_clocked(row, t0, args), f"rate-sweep {point}", exc)
-
-    rows, ok = _dispatch(points, work)
-    return columns, rows, ok
-
-
-# ---------------------------------------------------------------------------
-# validate
-# ---------------------------------------------------------------------------
 
 def _point_seed(root: int, index: int) -> int:
     return int(np.random.SeedSequence([root, index]).generate_state(1)[0])
 
 
-def _run_validate(args) -> tuple[list[str], list[dict], bool]:
-    decoders = ["matched", "mismatched"] if args.decoder == "both" else [args.decoder]
-    _check_grid(args)
+def _validate_points(args) -> list[dict]:
+    decoders = _decoders(args.decoder)
+    _check_shared(args)
     discrete = [k for k in args.constellation if k != "gaussian"]
     if discrete and "mismatched" in decoders:
         raise UsageError(
@@ -436,130 +396,148 @@ def _run_validate(args) -> tuple[list[str], list[dict], bool]:
         raise UsageError(f"--n-channels must be 0 (auto) or at least 2, got {args.n_channels}")
     if args.n_noise < 1:
         raise UsageError(f"--n-noise must be positive, got {args.n_noise}")
-
-    unit = _rate_unit(args)
-    columns = ["decoder", "constellation", "snr_db", "evm_db",
-               f"rate_replica_{unit}", f"rate_mc_{unit}", f"mc_stderr_{unit}",
-               f"abs_diff_{unit}", "n_channels", "n_noise", "seed",
-               "converged", "iterations"]
-    if args.timing:
-        columns.append("wall_ms")
-
-    points = [(i, kind, snr, evm, dec)
-              for i, (kind, snr, evm, dec) in enumerate(
-                  (kind, snr, evm, dec)
-                  for kind in args.constellation
-                  for snr in args.snr
-                  for evm in args.evm
-                  for dec in decoders)]
-
-    def work(point):
-        index, kind, snr, evm, dec = point
-        t0 = time.perf_counter()
-        seed = _point_seed(args.seed, index)
-        row = {"decoder": dec, "constellation": kind, "snr_db": snr, "evm_db": evm,
-               "seed": seed, "n_noise": args.n_noise}
-        try:
-            cfg = make_config(args.M, args.N, snr, evm)
-            con = make_constellation(kind, cfg.gamma_bar)
-            if dec == "matched":
-                res = matched_mi(cfg, con, order=args.order, max_iter=args.max_iter)
-            else:
-                res = gmi(cfg, con, order=args.order, max_iter=args.max_iter)
-            if kind == "gaussian":
-                n_ch = args.n_channels or 10000
-                settings = McSettings(n_channels=n_ch, n_noise=args.n_noise, seed=seed)
-                mc = (mc_mi_matched_gaussian(cfg, settings) if dec == "matched"
-                      else mc_gmi_gaussian(cfg, settings))
-            else:
-                n_ch = args.n_channels or 1000
-                settings = McSettings(n_channels=n_ch, n_noise=args.n_noise, seed=seed)
-                mc = mc_mi_matched_discrete(cfg, con, settings)
-            replica = _to_unit(res.rate_nats, args)
-            reference = _to_unit(mc.rate_nats, args)
-            row.update({
-                f"rate_replica_{unit}": replica,
-                f"rate_mc_{unit}": reference,
-                f"mc_stderr_{unit}": _to_unit(mc.stderr_nats, args),
-                f"abs_diff_{unit}": abs(replica - reference),
-                "n_channels": n_ch,
-                "converged": res.converged,
-                "iterations": res.iterations,
-            })
-            return _clocked(row, t0, args), res.converged
-        except Exception as exc:
-            return _failure(_clocked(row, t0, args), f"validate point {index}", exc)
-
-    rows, ok = _dispatch(points, work)
-    return columns, rows, ok
+    # each point draws from its own child seed, so rows do not depend on
+    # scheduling
+    grid = product(args.constellation, args.snr, args.evm, decoders)
+    return [{"decoder": dec, "constellation": kind, "snr_db": snr, "evm_db": evm,
+             "seed": _point_seed(args.seed, i), "n_noise": args.n_noise}
+            for i, (kind, snr, evm, dec) in enumerate(grid)]
 
 
-# ---------------------------------------------------------------------------
-# evm-plan
-# ---------------------------------------------------------------------------
-
-def _run_evm_plan(args) -> tuple[list[str], list[dict], bool]:
-    decoders = ["matched", "mismatched"] if args.decoder == "both" else [args.decoder]
-    _check_grid(args, require_evm=False)
+def _plan_points(args) -> list[dict]:
+    decoders = _decoders(args.decoder)
+    _check_shared(args)
     if not 0.0 < args.loss < 1.0:
         raise UsageError(f"--loss must be a fraction in (0, 1), got {args.loss:g}")
+    if not all(math.isfinite(v) for v in (args.evm_lo, args.evm_hi, args.tol_db)):
+        raise UsageError(f"--evm-lo, --evm-hi and --tol-db must be finite, "
+                         f"got {args.evm_lo:g}, {args.evm_hi:g}, {args.tol_db:g}")
     if not args.evm_lo < args.evm_hi:
         raise UsageError(f"need --evm-lo < --evm-hi, got [{args.evm_lo:g}, {args.evm_hi:g}]")
     if args.evm_hi > 0:
         raise UsageError(f"--evm-hi cannot exceed 0 dB, got {args.evm_hi:g}")
+    if args.tol_db <= 0:
+        raise UsageError(f"--tol-db must be positive, got {args.tol_db:g}")
+    return [{"decoder": dec, "constellation": kind, "snr_db": snr,
+             "loss_budget": args.loss, "rule_of_thumb_db": rule_of_thumb_evm(snr)}
+            for kind, snr, dec in product(args.constellation, args.snr, decoders)]
 
-    columns = ["decoder", "constellation", "snr_db", "loss_budget",
-               "max_evm_db", "rule_of_thumb_db", "converged"]
-    if args.timing:
-        columns.append("wall_ms")
 
-    points = [(kind, snr, dec)
-              for kind in args.constellation
-              for snr in args.snr
-              for dec in decoders]
+# ---------------------------------------------------------------------------
+# solvers: fill one row from its key columns, return whether it converged.
+# Rate columns are named with a {unit} placeholder that _write fills in.
+# ---------------------------------------------------------------------------
 
-    def work(point):
-        kind, snr, dec = point
+def _replica(args, row: dict, matched: bool):
+    """(cfg, constellation, RateResult) of the replica solve at a row's point."""
+    cfg = make_config(args.M, args.N, row["snr_db"], row["evm_db"])
+    con = make_constellation(row["constellation"], cfg.gamma_bar)
+    res = (matched_mi if matched else gmi)(cfg, con, order=args.order, max_iter=args.max_iter)
+    return cfg, con, res
+
+
+def _solve_rate(args, row: dict) -> bool:
+    mode = row["mode"]
+    kappa = 10.0 ** (row["evm_db"] / 20.0)
+    if mode == "highsnr-matched":
+        res = RateResult(matched_mi_highsnr(args.M / args.N, kappa), {})
+    elif mode == "highsnr-mismatched":
+        res = gmi_highsnr_gaussian(args.M / args.N, kappa)
+    else:
+        res = _replica(args, row, mode == "matched")[2]
+    row.update(res.params)
+    row.update({"rate_{unit}_per_stream": _to_unit(res.rate_nats, args), "s_tilde_star": res.s_tilde,
+                "converged": res.converged, "iterations": res.iterations})
+    return res.converged
+
+
+def _solve_validate(args, row: dict) -> bool:
+    matched = row["decoder"] == "matched"
+    cfg, con, res = _replica(args, row, matched)
+    gaussian = row["constellation"] == "gaussian"
+    settings = McSettings(n_channels=args.n_channels or (10000 if gaussian else 1000),
+                          n_noise=args.n_noise, seed=row["seed"])
+    if not gaussian:
+        mc = mc_mi_matched_discrete(cfg, con, settings)
+    else:
+        mc = mc_mi_matched_gaussian(cfg, settings) if matched else mc_gmi_gaussian(cfg, settings)
+    replica = _to_unit(res.rate_nats, args)
+    reference = _to_unit(mc.rate_nats, args)
+    row.update({
+        "rate_replica_{unit}": replica,
+        "rate_mc_{unit}": reference,
+        "mc_stderr_{unit}": _to_unit(mc.stderr_nats, args),
+        "abs_diff_{unit}": abs(replica - reference),
+        "n_channels": settings.n_channels,
+        "converged": res.converged,
+        "iterations": res.iterations,
+    })
+    return res.converged
+
+
+def _solve_plan(args, row: dict) -> bool:
+    query = LossQuery(M=args.M, N=args.N, constellation=row["constellation"],
+                      decoder="gmi" if row["decoder"] == "mismatched" else "matched",
+                      order=args.order)
+    row["max_evm_db"] = max_evm_for_loss(query, row["snr_db"], args.loss,
+                                         lo_db=args.evm_lo, hi_db=args.evm_hi, tol_db=args.tol_db)
+    row["converged"] = True
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the point pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Command:
+    blurb: str
+    flags: list[_Flag]
+    points: Callable[[argparse.Namespace], list[dict]]
+    solve: Callable[[argparse.Namespace, dict], bool]
+    columns: list[str]
+
+
+_COMMANDS = {
+    "rate-sweep": _Command(
+        "replica rate curves over an SNR/EVM grid", _RATE_FLAGS, _rate_points, _solve_rate,
+        ["mode", "constellation", "snr_db", "evm_db", "rate_{unit}_per_stream",
+         "s_tilde_star", "eta", "xi", "eps", "eps_tilde",
+         "eta_prime", "eps_prime", "converged", "iterations"]),
+    "validate": _Command(
+        "replica rates against Monte Carlo references", _VALIDATE_FLAGS, _validate_points, _solve_validate,
+        ["decoder", "constellation", "snr_db", "evm_db",
+         "rate_replica_{unit}", "rate_mc_{unit}", "mc_stderr_{unit}",
+         "abs_diff_{unit}", "n_channels", "n_noise", "seed",
+         "converged", "iterations"]),
+    "evm-plan": _Command(
+        "maximum EVM meeting a rate-loss budget vs SNR", _PLAN_FLAGS, _plan_points, _solve_plan,
+        ["decoder", "constellation", "snr_db", "loss_budget",
+         "max_evm_db", "rule_of_thumb_db", "converged"]),
+}
+
+
+def _run(args) -> tuple[list[str], list[dict], bool]:
+    """Solve every point of the request; a point that raises becomes a
+    converged=false row holding only its key columns."""
+    cmd = _COMMANDS[args.command]
+    points = cmd.points(args)
+
+    def work(keys: dict) -> tuple[dict, bool]:
         t0 = time.perf_counter()
-        row = {"decoder": dec, "constellation": kind, "snr_db": snr,
-               "loss_budget": args.loss, "rule_of_thumb_db": rule_of_thumb_evm(snr)}
+        row = dict(keys)
         try:
-            query = LossQuery(M=args.M, N=args.N, constellation=kind,
-                              decoder="gmi" if dec == "mismatched" else "matched",
-                              order=args.order)
-            row["max_evm_db"] = max_evm_for_loss(
-                query, snr, args.loss,
-                lo_db=args.evm_lo, hi_db=args.evm_hi, tol_db=args.tol_db,
-            )
-            row["converged"] = True
-            return _clocked(row, t0, args), True
+            ok = cmd.solve(args, row)
         except Exception as exc:
-            return _failure(_clocked(row, t0, args), f"evm-plan {point}", exc)
+            where = " ".join(f"{k}={_fmt(v)}" for k, v in keys.items())
+            print(f"binoisy: {args.command} {where}: {exc}", file=sys.stderr)
+            row, ok = dict(keys, converged=False), False
+        if args.timing:
+            row["wall_ms"] = (time.perf_counter() - t0) * 1e3
+        return row, ok
 
     rows, ok = _dispatch(points, work)
-    return columns, rows, ok
-
-
-def _check_grid(args, require_evm: bool = True) -> None:
-    if args.M < 1 or args.N < 1:
-        raise UsageError(f"M and N must be positive, got M={args.M}, N={args.N}")
-    if not args.snr:
-        raise UsageError("empty SNR grid")
-    if any(not math.isfinite(s) for s in args.snr):
-        raise UsageError("SNR grid must be finite")
-    if require_evm:
-        if not args.evm:
-            raise UsageError("empty EVM list")
-        for e in args.evm:
-            if e > 0:
-                raise UsageError(f"EVM must be <= 0 dB, got {e:g}")
-
-
-_RUNNERS = {
-    "rate-sweep": _run_rate_sweep,
-    "validate": _run_validate,
-    "evm-plan": _run_evm_plan,
-}
+    return cmd.columns + (["wall_ms"] if args.timing else []), rows, ok
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -569,7 +547,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.config:
             explicit = _build_parser(suppress_defaults=True).parse_args(argv)
             _apply_config(args, explicit)
-        columns, rows, ok = _RUNNERS[args.command](args)
+        columns, rows, ok = _run(args)
     except UsageError as exc:
         print(f"binoisy: error: {exc}", file=sys.stderr)
         return 2

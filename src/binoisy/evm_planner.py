@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .model import Constellation, make_config, make_constellation
+from .model import make_config, make_constellation
 from .numerics import DEFAULT_ORDER
 from .replica_matched import matched_mi
 from .replica_mismatched import gmi
@@ -34,8 +32,6 @@ class LossQuery:
     N: int
     constellation: str = "gaussian"
     decoder: str = "matched"
-    R_w: Optional[np.ndarray] = None
-    points: Optional[np.ndarray] = None
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
@@ -44,8 +40,8 @@ class LossQuery:
 
 
 def _rate_nats(query: LossQuery, snr_db: float, evm_db: float) -> float:
-    cfg = make_config(query.M, query.N, snr_db, evm_db, query.R_w)
-    con: Constellation = make_constellation(query.constellation, cfg.gamma_bar, query.points)
+    cfg = make_config(query.M, query.N, snr_db, evm_db)
+    con = make_constellation(query.constellation, cfg.gamma_bar)
     if query.decoder == "matched":
         return matched_mi(cfg, con, order=query.order).rate_nats
     return gmi(cfg, con, order=query.order).rate_nats
@@ -84,6 +80,8 @@ def max_evm_for_loss(
     """
     if not 0.0 < loss_budget < 1.0:
         raise ValueError(f"loss_budget must be a fraction in (0, 1), got {loss_budget:g}")
+    if not all(math.isfinite(v) for v in (lo_db, hi_db, tol_db)):
+        raise ValueError(f"lo_db, hi_db and tol_db must be finite, got {lo_db:g}, {hi_db:g}, {tol_db:g}")
     if not lo_db < hi_db:
         raise ValueError(f"need lo_db < hi_db, got [{lo_db:g}, {hi_db:g}]")
     if tol_db <= 0:

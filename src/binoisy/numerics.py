@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "FixedPointError",
     "FixedPointResult",
-    "gaussian_expectation",
     "mixture_expectation",
     "damped_fixed_point",
     "maximize_scalar",
@@ -44,17 +43,6 @@ def hermgauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"quadrature order must be in [1, {_MAX_ORDER}], got {order}")
     t, w = np.polynomial.hermite.hermgauss(order)
     return t, w / math.sqrt(math.pi)
-
-
-def gaussian_expectation(
-    f: Callable[[np.ndarray], np.ndarray],
-    mean: complex,
-    variance: float,
-    order: int = DEFAULT_ORDER,
-) -> float:
-    """E[f(z)] for z circular complex Gaussian with the given mean and total
-    variance (E|z - mean|^2 = variance). f must accept a complex ndarray."""
-    return mixture_expectation([(mean, variance)], f, order)
 
 
 def mixture_expectation(

@@ -76,6 +76,19 @@ def _bisect_increasing(g: Callable[[float], float], lo: float, hi: float, steps:
     return 0.5 * (lo + hi)
 
 
+def _solve_gaussian_pair(cfg: SystemConfig, P: float) -> tuple[float, float]:
+    """(eta, e) with eta = tr((R_w + e I)^-1)/M and e = P/(1 + eta P), the
+    pair of a Gaussian input of power P; rooted directly on [0, P]."""
+    M = cfg.M
+
+    def g(e):
+        eta = cfg.trinv_rw_plus(e) / M
+        return e - P / (1.0 + eta * P)
+
+    e = _bisect_increasing(g, 0.0, P)
+    return cfg.trinv_rw_plus(e) / M, e
+
+
 def solve_matched_prime(cfg: SystemConfig) -> tuple[float, float]:
     """Solve eta' = tr((R_w + eps' I)^-1)/M, eps' = r_v/(1 + eta' r_v).
 
@@ -83,16 +96,7 @@ def solve_matched_prime(cfg: SystemConfig) -> tuple[float, float]:
     distortion if the data symbols were known; it does not involve the
     constellation. r_v = 0 collapses it to eps' = 0 exactly.
     """
-    M, r_v = cfg.M, cfg.r_v
-    if r_v == 0.0:
-        return cfg.trinv_rw_plus(0.0) / M, 0.0
-
-    def g(e):
-        eta_p = cfg.trinv_rw_plus(e) / M
-        return e - r_v / (1.0 + eta_p * r_v)
-
-    eps_p = _bisect_increasing(g, 0.0, r_v)
-    return cfg.trinv_rw_plus(eps_p) / M, eps_p
+    return _solve_gaussian_pair(cfg, cfg.r_v)
 
 
 def solve_matched_primary(
@@ -111,12 +115,7 @@ def solve_matched_primary(
     """
     M, P = cfg.M, cfg.gamma_bar + cfg.r_v
     if constellation.is_gaussian:
-        def g(e):
-            eta = cfg.trinv_rw_plus(e) / M
-            return e - P / (1.0 + eta * P)
-
-        eps = _bisect_increasing(g, 0.0, P)
-        return [(cfg.trinv_rw_plus(eps) / M, eps, 0, True)]
+        return [(*_solve_gaussian_pair(cfg, P), 0, True)]
 
     def F(x):
         eta = cfg.trinv_rw_plus(float(x[0])) / M

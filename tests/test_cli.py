@@ -6,7 +6,9 @@ import math
 
 import pytest
 
-from binoisy.cli import _parse_snr, main
+import binoisy.cli
+from binoisy.cli import _parse_snr, _point_seed, main
+from binoisy.numerics import _MAX_ORDER
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -62,13 +64,23 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_thread_pool_does_not_change_output(tmp_path, monkeypatch):
-    args = ("rate-sweep", "--mode", "both", "--constellation", "gaussian,qpsk",
-            "--snr", "0:10:10", "--evm", "-10")
-    monkeypatch.setenv("BINOISY_THREADS", "4")
-    _, a = run(tmp_path, *args, name="par.csv")
-    monkeypatch.setenv("BINOISY_THREADS", "1")
-    _, b = run(tmp_path, *args, name="ser.csv")
-    assert a.read_bytes() == b.read_bytes()
+    cases = [
+        ("rate-sweep", "--mode", "both", "--constellation", "gaussian,qpsk",
+         "--snr", "0:10:10", "--evm", "-10"),
+        # per-point child seeds
+        ("validate", "--decoder", "both", "--constellation", "gaussian", "--M", "2", "--N", "2",
+         "--snr", "0,10", "--evm", "-20,-10", "--n-channels", "50"),
+        # one row per point
+        ("evm-plan", "--decoder", "both", "--constellation", "gaussian", "--snr", "0,10,20",
+         "--evm-lo", "-40", "--tol-db", "0.1"),
+    ]
+    for args in cases:
+        monkeypatch.setenv("BINOISY_THREADS", "4")
+        code_par, a = run(tmp_path, *args, name="par.csv")
+        monkeypatch.setenv("BINOISY_THREADS", "1")
+        code_ser, b = run(tmp_path, *args, name="ser.csv")
+        assert code_par == code_ser == 0
+        assert a.read_bytes() == b.read_bytes(), args[0]
 
 
 def test_timing_column_is_opt_in(tmp_path):
@@ -171,6 +183,92 @@ def test_nonconvergence_exit_code_and_allow_partial(tmp_path):
     code, out = run(tmp_path, *args, "--allow-partial", name="p.csv")
     assert code == 0
     assert read_rows(out)[0]["converged"] == "false"
+
+
+@pytest.mark.parametrize("extra", [
+    ("--max-iter", "0"), ("--max-iter", "-1"), ("--order", "0"), ("--order", str(_MAX_ORDER + 1)),
+    ("--evm", "nan"),
+])
+def test_bad_flag_values_are_usage_errors(tmp_path, extra):
+    code, out = run(tmp_path, "rate-sweep", "--mode", "matched", "--constellation", "qpsk",
+                    "--snr", "10", "--evm", "-10", *extra)
+    assert code == 2
+    assert not out.exists()
+
+
+def test_order_bound_applies_to_every_subcommand(tmp_path):
+    for argv in (("validate", "--constellation", "gaussian", "--snr", "10", "--n-channels", "20"),
+                 ("evm-plan", "--constellation", "gaussian", "--snr", "10")):
+        code, _ = run(tmp_path, *argv, "--order", "0")
+        assert code == 2
+    code, _ = run(tmp_path, "validate", "--constellation", "gaussian", "--snr", "10",
+                  "--n-channels", "20", "--max-iter", "0")
+    assert code == 2
+    # the largest supported order is accepted
+    code, _ = run(tmp_path, "rate-sweep", "--mode", "matched", "--constellation", "gaussian",
+                  "--snr", "10", "--evm", "-10", "--order", str(_MAX_ORDER))
+    assert code == 0
+
+
+@pytest.mark.parametrize("extra", [
+    ("--tol-db", "nan"), ("--tol-db", "inf"), ("--tol-db", "0"),
+    ("--evm-lo", "-inf"), ("--evm-lo", "nan"), ("--evm-hi", "nan"),
+])
+def test_evm_plan_rejects_non_finite_bracket_and_tolerance(tmp_path, extra):
+    code, out = run(tmp_path, "evm-plan", "--constellation", "gaussian", "--snr", "10", *extra)
+    assert code == 2
+    assert not out.exists()
+
+
+# one failing grid point per subcommand: (argv, patched name, failing point's
+# key columns as written)
+FAILURES = {
+    "rate-sweep": (("--mode", "matched", "--constellation", "gaussian", "--snr", "5,10",
+                    "--evm", "-10"),
+                   "matched_mi",
+                   {"mode": "matched", "constellation": "gaussian", "snr_db": "10", "evm_db": "-10"}),
+    "validate": (("--constellation", "gaussian", "--M", "2", "--N", "2", "--snr", "5,10",
+                  "--evm", "-10", "--n-channels", "20"),
+                 "matched_mi",
+                 {"decoder": "matched", "constellation": "gaussian", "snr_db": "10", "evm_db": "-10",
+                  "n_noise": "100", "seed": str(_point_seed(0, 1))}),
+    "evm-plan": (("--constellation", "gaussian", "--snr", "5,10", "--evm-lo", "-30",
+                  "--tol-db", "0.5"),
+                 "max_evm_for_loss",
+                 {"decoder": "matched", "constellation": "gaussian", "snr_db": "10",
+                  "loss_budget": "0.05", "rule_of_thumb_db": "-20"}),
+}
+
+
+@pytest.mark.parametrize("command", list(FAILURES))
+def test_failing_point_keeps_key_columns(tmp_path, capsys, monkeypatch, command):
+    argv, name, keys = FAILURES[command]
+    real = getattr(binoisy.cli, name)
+
+    def flaky(*a, **kw):
+        snr = a[1] if name == "max_evm_for_loss" else a[0].snr_db
+        if snr == 10.0:
+            raise RuntimeError("injected failure")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(binoisy.cli, name, flaky)
+    code, out = run(tmp_path, command, *argv)
+    assert code == 1
+    good, bad = read_rows(out)
+    assert good["converged"] == "true"
+    assert bad["converged"] == "false"
+    for column, value in bad.items():
+        if column in keys:
+            assert value == keys[column]
+        elif column != "converged":
+            assert value == "", column
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"binoisy: {command} ")
+    assert "snr_db=10 " in err[0] and err[0].endswith(": injected failure")
+    code, out = run(tmp_path, command, *argv, "--allow-partial", name="partial.csv")
+    assert code == 0
+    assert read_rows(out)[1]["converged"] == "false"
 
 
 def test_validate_columns_and_determinism(tmp_path):

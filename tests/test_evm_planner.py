@@ -92,3 +92,14 @@ def test_validation_errors():
         max_evm_for_loss(q, 10.0, 0.05, tol_db=0.0)
     with pytest.raises(ValueError):
         LossQuery(M=4, N=4, constellation="gaussian", decoder="map")
+
+
+@pytest.mark.parametrize("bracket", [
+    dict(tol_db=math.nan), dict(tol_db=math.inf),
+    dict(lo_db=-math.inf), dict(lo_db=math.nan), dict(hi_db=math.nan), dict(hi_db=math.inf),
+])
+def test_non_finite_bracket_or_tolerance_is_rejected(bracket):
+    # a NaN tolerance ended the bisection at once and returned lo_db; a -inf
+    # lower end kept the midpoint at -inf forever
+    with pytest.raises(ValueError, match="finite"):
+        max_evm_for_loss(gaussian_query(), 10.0, 0.05, **bracket)

@@ -8,7 +8,6 @@ import pytest
 from binoisy.numerics import (
     FixedPointError,
     damped_fixed_point,
-    gaussian_expectation,
     hermgauss_nodes,
     maximize_scalar,
     mixture_expectation,
@@ -36,7 +35,7 @@ def test_hermgauss_order_limits():
 
 def test_complex_gaussian_expectation_second_moment():
     # E|z|^2 = |mean|^2 + variance for circular complex z
-    val = gaussian_expectation(lambda z: np.abs(z) ** 2, 1.0 - 2.0j, 3.0, order=24)
+    val = mixture_expectation([(1.0 - 2.0j, 3.0)], lambda z: np.abs(z) ** 2, order=24)
     assert val == pytest.approx(5.0 + 3.0, rel=1e-12)
 
 
