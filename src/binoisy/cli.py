@@ -158,7 +158,8 @@ _LINK = [
 # replica solves at given EVMs (rate-sweep and validate)
 _SOLVE = [
     _Flag("--evm", _parse_float_list, [-math.inf], "comma list of EVM values in dB (-inf for ideal)", metavar="LIST"),
-    _Flag("--max-iter", int, 500, "fixed-point iteration budget per start", metavar="K"),
+    _Flag("--max-iter", int, 500, "budget per start: map evaluations of the matched root solve, iterations of the damped "
+          "mismatched stages", metavar="K"),
     _Flag("--nats", None, False, "report rates in nats instead of bits"),
 ]
 

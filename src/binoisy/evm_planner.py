@@ -40,11 +40,15 @@ class LossQuery:
 
 
 def _rate_nats(query: LossQuery, snr_db: float, evm_db: float) -> float:
+    """The rate behind one loss evaluation; raises RuntimeError when its
+    solve did not converge, so no plan rests on an unconverged rate."""
     cfg = make_config(query.M, query.N, snr_db, evm_db)
     con = make_constellation(query.constellation, cfg.gamma_bar)
-    if query.decoder == "matched":
-        return matched_mi(cfg, con, order=query.order).rate_nats
-    return gmi(cfg, con, order=query.order).rate_nats
+    solve = matched_mi if query.decoder == "matched" else gmi
+    res = solve(cfg, con, order=query.order)
+    if not res.converged:
+        raise RuntimeError(f"{query.decoder} rate solve did not converge at snr {snr_db:g} dB, evm {evm_db:g} dB")
+    return res.rate_nats
 
 
 def rate_loss(
@@ -76,7 +80,8 @@ def max_evm_for_loss(
     when the budget is infeasible everywhere in [lo_db, hi_db]; -inf is an
     answer, not an error. Otherwise bisect and return the feasible end of the
     final bracket, so the reported EVM is guaranteed within budget up to the
-    rate solver's own accuracy.
+    rate solver's own accuracy. Raises RuntimeError when a rate solve behind
+    the search does not converge.
     """
     if not 0.0 < loss_budget < 1.0:
         raise ValueError(f"loss_budget must be a fraction in (0, 1), got {loss_budget:g}")

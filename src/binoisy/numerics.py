@@ -1,12 +1,16 @@
 """Shared numerical machinery: complex-plane Gauss-Hermite quadrature, damped
-fixed-point iteration with divergence guards, the multi-start policy that
-turns several fixed-point runs into distinct solution branches, and seeded
-scalar maximization.
+fixed-point iteration with divergence guards, a bracketed scalar root solver
+(Brent's method) with a geometric walk that finds its bracket, the
+multi-start policy that turns several solver runs into distinct solution
+branches, and seeded scalar maximization.
 
-The replica solvers and the Monte Carlo GMI reference run both primitives at
-their defaults: damping 0.5 and step tolerance 1e-10 per fixed-point start,
-golden-section tolerance 1e-6 on the log axis. Only the per-start iteration
-budget max_iter (the CLI's --max-iter) reaches them from outside."""
+The matched primary fixed point and the Gaussian pairs are rooted with the
+bracketed solver (tolerance 1e-14 + 4 ulp on the unknown); the mismatched
+stages still run damped iteration (damping 0.5, step tolerance 1e-10). The
+scale searches use golden section at tolerance 1e-6 on the log axis. Only the
+per-start budget max_iter (the CLI's --max-iter) reaches them from outside:
+map evaluations for the matched root solve, iterations for the damped stages
+(the Gaussian pairs keep the default budget)."""
 
 from __future__ import annotations
 
@@ -22,6 +26,8 @@ __all__ = [
     "FixedPointResult",
     "mixture_expectation",
     "damped_fixed_point",
+    "bracketed_root",
+    "nearest_root",
     "maximize_scalar",
     "multi_start",
     "hermgauss_nodes",
@@ -29,6 +35,9 @@ __all__ = [
 
 DEFAULT_ORDER = 48
 _MAX_ORDER = 192  # hermgauss overflows near order 360; stay well clear
+_ROOT_XTOL = 1e-14  # root tolerance: absolute part ...
+_ROOT_RTOL = 4.0 * np.finfo(float).eps  # ... plus 4 ulp of the root
+_WALK_FACTOR = 10.0  # geometric step of the bracket search
 
 
 class FixedPointError(RuntimeError):
@@ -92,8 +101,10 @@ def real_mixture_expectation(
 
 @dataclass
 class FixedPointResult:
-    """Outcome of damped_fixed_point. free_energy is filled in by callers
-    that rank multiple solution branches."""
+    """Outcome of damped_fixed_point or of a root solve (then iterations
+    counts evaluations of the root function and residual is |g| at the
+    solution). free_energy is filled in by callers that rank multiple
+    solution branches."""
 
     solution: np.ndarray
     iterations: int
@@ -136,9 +147,121 @@ def damped_fixed_point(
     return FixedPointResult(solution=x, iterations=max_iter, residual=step, converged=False)
 
 
+class _Counted:
+    """g as a float-valued function that counts its calls and rejects
+    non-finite values."""
+
+    def __init__(self, g: Callable[[float], float]):
+        self.g, self.calls = g, 0
+
+    def __call__(self, x: float) -> float:
+        self.calls += 1
+        gx = float(self.g(x))
+        if not math.isfinite(gx):
+            raise FixedPointError(f"root function returned non-finite value {gx} at x={x} (evaluation {self.calls})")
+        return gx
+
+
+def _brent(g: _Counted, a: float, b: float, ga: float, gb: float, max_eval: int) -> FixedPointResult:
+    """Brent's method on [a, b] given g(a), g(b) of opposite signs or one of
+    them zero: inverse quadratic or secant steps when they stay well inside
+    the bracket, bisection otherwise. Stops when the bracket is below
+    1e-14 + 4 ulp or g is exactly zero, or after max_eval more calls of g."""
+    if ga == 0.0:
+        return FixedPointResult(np.array([a]), g.calls, 0.0, True)
+    if gb == 0.0:
+        return FixedPointResult(np.array([b]), g.calls, 0.0, True)
+    if (ga < 0.0) == (gb < 0.0):
+        raise ValueError(f"bracket [{a:g}, {b:g}] does not contain a sign change")
+    budget = g.calls + max_eval
+    # cur is the best estimate, pre the previous one, blk the point that
+    # keeps the sign change with cur; step/prev_step are the last two steps
+    pre, gpre, cur, gcur = a, ga, b, gb
+    blk = gblk = step = prev_step = 0.0
+    while True:
+        if (gpre < 0.0) != (gcur < 0.0):
+            blk, gblk = pre, gpre
+            step = prev_step = cur - pre
+        if abs(gblk) < abs(gcur):
+            pre, cur, blk = cur, blk, cur
+            gpre, gcur, gblk = gcur, gblk, gcur
+        delta = 0.5 * (_ROOT_XTOL + _ROOT_RTOL * abs(cur))
+        half = 0.5 * (blk - cur)
+        if gcur == 0.0 or abs(half) < delta:
+            return FixedPointResult(np.array([cur]), g.calls, abs(gcur), True)
+        if g.calls >= budget:
+            return FixedPointResult(np.array([cur]), g.calls, abs(gcur), False)
+        if abs(prev_step) > delta and abs(gcur) < abs(gpre):
+            if pre == blk:  # secant
+                trial = -gcur * (cur - pre) / (gcur - gpre)
+            else:  # inverse quadratic interpolation
+                d_pre = (gpre - gcur) / (pre - cur)
+                d_blk = (gblk - gcur) / (blk - cur)
+                trial = -gcur * (gblk * d_blk - gpre * d_pre) / (d_blk * d_pre * (gblk - gpre))
+            if 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - delta):
+                prev_step, step = step, trial
+            else:
+                prev_step = step = half
+        else:
+            prev_step = step = half
+        pre, gpre = cur, gcur
+        cur += step if abs(step) > delta else math.copysign(delta, half)
+        gcur = g(cur)
+
+
+def bracketed_root(
+    g: Callable[[float], float],
+    lo: float,
+    hi: float,
+    max_eval: int = 500,
+) -> FixedPointResult:
+    """Root of g on [lo, hi] by Brent's method; g(lo) and g(hi) must not
+    share a strict sign (ValueError otherwise), so a zero-width bracket holds
+    a root only where g is zero. iterations counts every call of g, the two
+    end points included, and running out of max_eval calls returns the best
+    point with converged=False. NaN/inf from g raises FixedPointError."""
+    f = _Counted(g)
+    return _brent(f, lo, hi, f(lo), f(hi), max_eval - 2)
+
+
+def nearest_root(
+    g: Callable[[float], float],
+    x0: float,
+    max_eval: int = 500,
+) -> FixedPointResult:
+    """Root of g(x) = x - F(x) that damped iteration of an increasing map F
+    reaches from x0 > 0: the nearest root in the direction of -g(x0), as
+    long as no single step of the walk below crosses more than one root.
+
+    Steps geometrically (x10 up, /10 down) from x0 until g changes sign,
+    then roots inside that bracket by Brent's method. x is a nonnegative
+    unknown: a downward walk ends at 0, and g(0) > 0 clamps the root to 0.
+    iterations counts every call of g over the walk and the root, and
+    max_eval bounds that count; running out returns the best point so far
+    with converged=False. NaN/inf from g raises FixedPointError."""
+    if not x0 > 0.0:
+        raise ValueError(f"start must be positive, got {x0:g}")
+    f = _Counted(g)
+    x, gx = x0, f(x0)
+    up = gx < 0.0
+    while gx != 0.0:
+        if f.calls >= max_eval:
+            return FixedPointResult(np.array([x]), f.calls, abs(gx), False)
+        nxt = x * _WALK_FACTOR if up else x / _WALK_FACTOR
+        if not up and nxt < _ROOT_XTOL:
+            nxt = 0.0
+        gn = f(nxt)
+        if (gn >= 0.0) if up else (gn <= 0.0):
+            return _brent(f, x, nxt, gx, gn, max_eval - f.calls)
+        if nxt == 0.0:
+            return FixedPointResult(np.array([0.0]), f.calls, 0.0, True)
+        x, gx = nxt, gn
+    return FixedPointResult(np.array([x]), f.calls, 0.0, True)
+
+
 def multi_start(
-    run: Callable[[Sequence[float]], FixedPointResult],
-    starts: Iterable[Sequence[float]],
+    run: Callable[..., FixedPointResult],
+    starts: Iterable,
 ) -> list[FixedPointResult]:
     """run(x0) from every start, keeping one result per distinct solution, in
     start order. A start whose solution lies within 1e-8 (1 + |x|) of an

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .decoupled import DecoupledTrue, matched_scalar_mi, matched_second_moment
 from .model import Constellation, RateResult, SystemConfig
-from .numerics import DEFAULT_ORDER, damped_fixed_point, multi_start
+from .numerics import DEFAULT_ORDER, bracketed_root, multi_start, nearest_root
 
 __all__ = [
     "MatchedAux",
@@ -56,26 +53,6 @@ class MatchedAux:
         return res
 
 
-def _bisect_increasing(g: Callable[[float], float], lo: float, hi: float, steps: int = 200) -> float:
-    """Root of g on [lo, hi] given g(lo) <= 0 <= g(hi), by plain bisection.
-    Used for the scalar maps whose damped iteration stalls when the Jacobian
-    approaches one (Gaussian inputs at very high SNR)."""
-    glo = g(lo)
-    if glo > 0:
-        return lo
-    if g(hi) < 0:
-        raise ValueError("bisection bracket does not contain a sign change")
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _solve_gaussian_pair(cfg: SystemConfig, P: float) -> tuple[float, float]:
     """(eta, e) with eta = tr((R_w + e I)^-1)/M and e = P/(1 + eta P), the
     pair of a Gaussian input of power P; rooted directly on [0, P]."""
@@ -85,7 +62,7 @@ def _solve_gaussian_pair(cfg: SystemConfig, P: float) -> tuple[float, float]:
         eta = cfg.trinv_rw_plus(e) / M
         return e - P / (1.0 + eta * P)
 
-    e = _bisect_increasing(g, 0.0, P)
+    e = float(bracketed_root(g, 0.0, P).solution[0])
     return cfg.trinv_rw_plus(e) / M, e
 
 
@@ -109,20 +86,23 @@ def solve_matched_primary(
     eps = gamma_bar + r_v - E|<chi>|^2.
 
     Returns candidate branches as (eta, eps, iterations, converged). Gaussian
-    inputs admit a single solution and are rooted directly; discrete alphabets
-    run the damped iteration from both multi-start seeds and may return two
-    branches in bistable regions.
+    inputs admit a single solution and are rooted directly. For discrete
+    alphabets the right-hand side is increasing in eps, so from each
+    multi-start seed the root of eps - rhs(eps) nearest in the direction the
+    damped iteration would move is bracketed and rooted (numerics.nearest_root,
+    max_iter evaluations per seed); bistable regions give two branches.
+    iterations counts evaluations of the map.
     """
     M, P = cfg.M, cfg.gamma_bar + cfg.r_v
     if constellation.is_gaussian:
         return [(*_solve_gaussian_pair(cfg, P), 0, True)]
 
-    def F(x):
-        eta = cfg.trinv_rw_plus(float(x[0])) / M
+    def g(eps):
+        eta = cfg.trinv_rw_plus(eps) / M
         ctx = DecoupledTrue(eta=eta, r_v=cfg.r_v, constellation=constellation)
-        return np.array([P - matched_second_moment(ctx, order)])
+        return eps - (P - matched_second_moment(ctx, order))
 
-    found = multi_start(lambda x0: damped_fixed_point(F, x0, max_iter=max_iter), ([_EPS_SEED_FLOOR], [P]))
+    found = multi_start(lambda x0: nearest_root(g, x0, max_eval=max_iter), (_EPS_SEED_FLOOR, P))
     return [(cfg.trinv_rw_plus(float(r.solution[0])) / M, float(r.solution[0]), r.iterations, r.converged)
             for r in found]
 

@@ -271,6 +271,32 @@ def test_failing_point_keeps_key_columns(tmp_path, capsys, monkeypatch, command)
     assert read_rows(out)[1]["converged"] == "false"
 
 
+def test_evm_plan_reports_an_unconverged_rate_solve(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import binoisy.evm_planner
+
+    real = binoisy.evm_planner.matched_mi
+
+    def stalls_at_one_evm(cfg, *a, **kw):
+        res = real(cfg, *a, **kw)
+        if cfg.snr_db == 10.0 and cfg.evm_db == -30.0:
+            return dataclasses.replace(res, converged=False)
+        return res
+
+    monkeypatch.setattr(binoisy.evm_planner, "matched_mi", stalls_at_one_evm)
+    code, out = run(tmp_path, "evm-plan", "--constellation", "gaussian", "--snr", "5,10",
+                    "--evm-lo", "-30", "--tol-db", "0.5")
+    assert code == 1
+    good, bad = read_rows(out)
+    assert good["converged"] == "true" and good["max_evm_db"] != ""
+    assert bad["converged"] == "false" and bad["max_evm_db"] == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("binoisy: evm-plan ") and "snr_db=10 " in err[0]
+    assert err[0].endswith("did not converge at snr 10 dB, evm -30 dB")
+
+
 def test_validate_columns_and_determinism(tmp_path):
     args = ("validate", "--M", "2", "--N", "2", "--constellation", "gaussian",
             "--evm", "-10", "--snr", "10", "--seed", "7", "--n-channels", "200")

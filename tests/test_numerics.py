@@ -7,11 +7,13 @@ import pytest
 
 from binoisy.numerics import (
     FixedPointError,
+    bracketed_root,
     damped_fixed_point,
     hermgauss_nodes,
     maximize_scalar,
     mixture_expectation,
     multi_start,
+    nearest_root,
     real_mixture_expectation,
 )
 
@@ -110,6 +112,85 @@ def test_multi_start_compares_every_component():
     assert len(found) == 2
     assert found[0].solution.tolist() == [1.0, 0.0]
     assert found[1].solution == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
+def counted(g):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return g(x)
+    return wrapped, calls
+
+
+def test_bracketed_root_finds_known_root_in_few_evaluations():
+    g, calls = counted(lambda x: x**3 - 2.0)
+    res = bracketed_root(g, 0.0, 2.0)
+    assert res.converged
+    assert res.solution[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-14)
+    assert res.iterations == len(calls) <= 12
+    assert res.residual == abs(g(res.solution[0]))
+    # the walk brackets x = cos(x) from 0.2 (up to 2.0) before rooting
+    g, calls = counted(lambda x: x - math.cos(x))
+    res = nearest_root(g, 0.2)
+    assert res.converged
+    assert res.solution[0] == pytest.approx(0.7390851332151607, abs=1e-14)
+    assert calls[:2] == [0.2, 2.0]
+    assert res.iterations == len(calls) <= 12
+
+
+def test_root_solvers_honour_the_evaluation_budget():
+    g, calls = counted(lambda x: x**3 - 2.0)
+    res = bracketed_root(g, 0.0, 2.0, max_eval=4)
+    assert not res.converged
+    assert res.iterations == len(calls) == 4
+    # no root above the start: the upward walk runs out of budget
+    g, calls = counted(lambda x: -1.0)
+    res = nearest_root(g, 1.0, max_eval=5)
+    assert not res.converged
+    assert res.iterations == len(calls) == 5
+    assert res.solution[0] == 1e4
+
+
+def test_root_solver_guards():
+    with pytest.raises(ValueError):
+        bracketed_root(lambda x: x + 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        nearest_root(lambda x: x, 0.0)
+    with pytest.raises(FixedPointError):
+        nearest_root(lambda x: math.nan, 1.0)
+
+
+def test_zero_width_bracket_returns_its_end():
+    # the Gaussian pair e = P/(1 + eta P) at P = 0 is rooted on [0, 0]
+    res = bracketed_root(lambda e: e - 0.0 / (1.0 + e), 0.0, 0.0)
+    assert res.converged and res.solution[0] == 0.0
+    with pytest.raises(ValueError):
+        bracketed_root(lambda e: e + 1.0, 0.0, 0.0)
+
+
+def test_nearest_root_clamps_at_zero():
+    # g > 0 everywhere: F(x) = x - g(x) = -1 lies below zero, so the
+    # nonnegative unknown settles at 0, as the clamped damped iteration does
+    res = nearest_root(lambda x: x + 1.0, 0.5)
+    assert res.converged and res.solution[0] == 0.0
+    damped = damped_fixed_point(lambda x: -np.ones_like(x), [0.5])
+    assert damped.solution[0] == 0.0
+
+
+def test_nearest_root_finds_the_damped_branches():
+    # an increasing map with stable fixed points near 1e-3 and 10 and an
+    # unstable one between them; starts below and above, as in the matched
+    # solve, reach the same two branches in start order
+    F = lambda x: 1e-3 + 10.0 * x**4 / (1.0 + x**4)
+    starts = (1e-6, 100.0)
+    damped = multi_start(lambda x0: damped_fixed_point(F, [x0]), starts)
+    rooted = multi_start(lambda x0: nearest_root(lambda x: x - F(x), x0), starts)
+    assert len(damped) == len(rooted) == 2
+    for d, r in zip(damped, rooted):
+        assert d.converged and r.converged
+        assert r.solution[0] == pytest.approx(d.solution[0], abs=1e-9)  # damped step tolerance 1e-10
+        assert r.iterations < d.iterations
 
 
 def test_maximize_scalar_refines_past_the_seed_grid():

@@ -131,19 +131,39 @@ def test_finite_snr_approaches_highsnr_limit():
 
 
 def test_iterations_count_every_start(monkeypatch):
-    # both starts land on one branch here; the duplicate's iterations count too
+    # both starts land on one branch here; the duplicate's evaluations count too
     import binoisy.replica_matched as rm
 
-    ran = []
-    inner = rm.damped_fixed_point
+    etas = []
+    inner = rm.matched_second_moment
 
-    def counting(*args, **kwargs):
-        out = inner(*args, **kwargs)
-        ran.append(out.iterations)
-        return out
+    def counting(ctx, *args, **kwargs):
+        etas.append(ctx.eta)
+        return inner(ctx, *args, **kwargs)
 
-    monkeypatch.setattr(rm, "damped_fixed_point", counting)
+    monkeypatch.setattr(rm, "matched_second_moment", counting)
     cfg = make_config(4, 4, 10.0, evm_db=-20.0)
     res = matched_mi(cfg, make_constellation("qpsk", cfg.gamma_bar))
-    assert len(ran) == 2
-    assert res.iterations == sum(ran)
+    # each start's first evaluation is at its seed: 1e-6 and P
+    for seed in (1e-6, cfg.gamma_bar + cfg.r_v):
+        assert cfg.trinv_rw_plus(seed) / cfg.M in etas
+    assert res.iterations == len(etas)
+
+
+# High-SNR, large-EVM corner that 500 damped steps per start do not solve.
+# Reference rates from damped iteration with a 20000-step budget, which
+# converged after 1104-1563 steps.
+DAMPED_CORNER_BITS = {
+    ("qpsk", -5.0): 1.685169282775257,
+    ("qam16", -5.0): 1.9034150472703153,
+    ("qam16", -10.0): 3.0306227865458086,
+}
+
+
+@pytest.mark.parametrize("kind,evm", sorted(DAMPED_CORNER_BITS))
+def test_high_snr_large_evm_corner_converges(kind, evm):
+    cfg = make_config(4, 4, 30.0, evm_db=evm)
+    res = matched_mi(cfg, make_constellation(kind, cfg.gamma_bar))
+    assert res.converged
+    assert res.iterations < 100
+    assert res.rate_bits == pytest.approx(DAMPED_CORNER_BITS[kind, evm], abs=1e-9)
