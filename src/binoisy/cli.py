@@ -4,38 +4,40 @@ planning curves as CSV or JSON.
 The three subcommands run one point pipeline and differ only in a row of
 _COMMANDS: a point builder that checks the request and returns each point's
 key columns in grid order, a solver that fills one row, and the column list.
-The pipeline dispatches the points to a worker pool (capped by
-BINOISY_THREADS) and writes rows back in grid order regardless of completion
-order. A point whose solver raises keeps only its key columns, is marked
-converged=false, and names itself in one stderr line. Floats are formatted
-with %.10g so identical invocations produce byte-identical files; wall-clock
-timing is therefore opt-in (--timing).
+The pipeline opens the output, then solves the points one after another in
+grid order in the calling thread and writes one row per point. A point whose
+solver raises keeps only its key columns, is marked converged=false, and
+names itself in one stderr line. Floats are formatted with %.10g so
+identical invocations produce byte-identical files; wall-clock timing is
+therefore opt-in (--timing).
 
 Exit codes: 0 success, 1 at least one point failed to converge (suppressed
-by --allow-partial), 2 malformed request: a bad grid or flag value such as
---max-iter below 1, --order outside the quadrature's range, or a
-non-finite evm-plan bracket or tolerance.
+by --allow-partial), 2 malformed request, found before any point is solved:
+a bad grid or flag value such as --max-iter below 1, --order outside the
+quadrature's range, a non-finite evm-plan bracket or tolerance, a validate
+lattice above the Monte Carlo limit, or an output path that cannot be
+written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
 
-from .evm_planner import LossQuery, max_evm_for_loss, rule_of_thumb_evm
-from .model import CONSTELLATION_KINDS, RateResult, make_config, make_constellation
+from .evm_planner import LossQuery, check_search, max_evm_for_loss, rule_of_thumb_evm
+from .model import CONSTELLATION_KINDS, RateResult, _unit_points, make_config, make_constellation
 from .montecarlo import (
+    LATTICE_LIMIT,
     McSettings,
     mc_gmi_gaussian,
     mc_mi_matched_discrete,
@@ -264,27 +266,10 @@ def _apply_config(args: argparse.Namespace, explicit: argparse.Namespace) -> Non
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _thread_count(n_points: int) -> int:
-    raw = os.environ.get("BINOISY_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise UsageError(f"BINOISY_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise UsageError(f"BINOISY_THREADS must be positive, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_points))
-
-
 def _dispatch(points: list, worker: Callable) -> tuple[list[dict], bool]:
-    workers = _thread_count(len(points))
-    if workers == 1:
-        results = [worker(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, points))
+    """Run worker on each point in grid order, in the calling thread. This is
+    the one place a point runs, so a tracer can wrap each point here."""
+    results = [worker(p) for p in points]
     rows = [row for row, _ in results]
     return rows, all(ok for _, ok in results)
 
@@ -307,30 +292,35 @@ def _json_value(value):
     return value
 
 
-def _write(args: argparse.Namespace, columns: list[str], rows: list[dict]) -> None:
+def _open_output(path: str):
+    """The output stream, opened before any point is solved so that an
+    unwritable path costs no solve."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _write(fh, args: argparse.Namespace, columns: list[str], rows: list[dict]) -> None:
     """Write rows in column order; a {unit} placeholder in a column name
     becomes bits or nats in the header."""
     unit = "nats" if getattr(args, "nats", False) else "bits"
     header = [c.format(unit=unit) for c in columns]
-    own = args.output != "-"
-    fh = open(args.output, "w", encoding="utf-8", newline="") if own else sys.stdout
-    try:
-        if args.format == "json":
-            payload = {
-                "command": args.command,
-                "columns": header,
-                "rows": [{h: _json_value(row.get(c)) for h, c in zip(header, columns)} for row in rows],
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row.get(c)) for c in columns])
-    finally:
-        if own:
-            fh.close()
+    if args.format == "json":
+        payload = {
+            "command": args.command,
+            "columns": header,
+            "rows": [{h: _json_value(row.get(c)) for h, c in zip(header, columns)} for row in rows],
+        }
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    else:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
 def _to_unit(rate_nats: float, args) -> float:
@@ -397,8 +387,13 @@ def _validate_points(args) -> list[dict]:
         raise UsageError(f"--n-channels must be 0 (auto) or at least 2, got {args.n_channels}")
     if args.n_noise < 1:
         raise UsageError(f"--n-noise must be positive, got {args.n_noise}")
-    # each point draws from its own child seed, so rows do not depend on
-    # scheduling
+    for kind in discrete:
+        size = len(_unit_points(kind))
+        if size**args.M > LATTICE_LIMIT:
+            raise UsageError(f"{kind} at M={args.M} needs {size}^{args.M} = {size**args.M} Monte Carlo "
+                             f"lattice points, above the limit {LATTICE_LIMIT}")
+    # each point draws from a child seed of its grid index, so its draws do
+    # not depend on how many the points before it made
     grid = product(args.constellation, args.snr, args.evm, decoders)
     return [{"decoder": dec, "constellation": kind, "snr_db": snr, "evm_db": evm,
              "seed": _point_seed(args.seed, i), "n_noise": args.n_noise}
@@ -408,17 +403,10 @@ def _validate_points(args) -> list[dict]:
 def _plan_points(args) -> list[dict]:
     decoders = _decoders(args.decoder)
     _check_shared(args)
-    if not 0.0 < args.loss < 1.0:
-        raise UsageError(f"--loss must be a fraction in (0, 1), got {args.loss:g}")
-    if not all(math.isfinite(v) for v in (args.evm_lo, args.evm_hi, args.tol_db)):
-        raise UsageError(f"--evm-lo, --evm-hi and --tol-db must be finite, "
-                         f"got {args.evm_lo:g}, {args.evm_hi:g}, {args.tol_db:g}")
-    if not args.evm_lo < args.evm_hi:
-        raise UsageError(f"need --evm-lo < --evm-hi, got [{args.evm_lo:g}, {args.evm_hi:g}]")
-    if args.evm_hi > 0:
-        raise UsageError(f"--evm-hi cannot exceed 0 dB, got {args.evm_hi:g}")
-    if args.tol_db <= 0:
-        raise UsageError(f"--tol-db must be positive, got {args.tol_db:g}")
+    try:
+        check_search(args.loss, args.evm_lo, args.evm_hi, args.tol_db)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return [{"decoder": dec, "constellation": kind, "snr_db": snr,
              "loss_budget": args.loss, "rule_of_thumb_db": rule_of_thumb_evm(snr)}
             for kind, snr, dec in product(args.constellation, args.snr, decoders)]
@@ -518,11 +506,9 @@ _COMMANDS = {
 }
 
 
-def _run(args) -> tuple[list[str], list[dict], bool]:
+def _run(args, cmd: _Command, points: list[dict]) -> tuple[list[dict], bool]:
     """Solve every point of the request; a point that raises becomes a
     converged=false row holding only its key columns."""
-    cmd = _COMMANDS[args.command]
-    points = cmd.points(args)
 
     def work(keys: dict) -> tuple[dict, bool]:
         t0 = time.perf_counter()
@@ -537,22 +523,25 @@ def _run(args) -> tuple[list[str], list[dict], bool]:
             row["wall_ms"] = (time.perf_counter() - t0) * 1e3
         return row, ok
 
-    rows, ok = _dispatch(points, work)
-    return cmd.columns + (["wall_ms"] if args.timing else []), rows, ok
+    return _dispatch(points, work)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     args = _build_parser(suppress_defaults=False).parse_args(argv)
+    cmd = _COMMANDS[args.command]
     try:
         if args.config:
             explicit = _build_parser(suppress_defaults=True).parse_args(argv)
             _apply_config(args, explicit)
-        columns, rows, ok = _run(args)
+        points = cmd.points(args)
+        out = _open_output(args.output)
     except UsageError as exc:
         print(f"binoisy: error: {exc}", file=sys.stderr)
         return 2
-    _write(args, columns, rows)
+    with out as fh:
+        rows, ok = _run(args, cmd, points)
+        _write(fh, args, cmd.columns + (["wall_ms"] if args.timing else []), rows)
     if ok or args.allow_partial:
         return 0
     return 1

@@ -18,7 +18,7 @@ from .numerics import DEFAULT_ORDER
 from .replica_matched import matched_mi
 from .replica_mismatched import gmi
 
-__all__ = ["LossQuery", "rate_loss", "max_evm_for_loss", "rule_of_thumb_evm", "DECODERS"]
+__all__ = ["LossQuery", "rate_loss", "check_search", "max_evm_for_loss", "rule_of_thumb_evm", "DECODERS"]
 
 DECODERS = ("matched", "gmi")
 
@@ -66,6 +66,23 @@ def rate_loss(
     return 1.0 - _rate_nats(query, snr_db, evm_db) / ref
 
 
+def check_search(loss_budget: float, lo_db: float, hi_db: float, tol_db: float) -> None:
+    """Raise ValueError unless max_evm_for_loss can run this search: a loss
+    budget in (0, 1), a finite EVM bracket lo_db < hi_db <= 0 dB and a finite
+    positive tolerance."""
+    if not 0.0 < loss_budget < 1.0:
+        raise ValueError(f"loss budget must be a fraction in (0, 1), got {loss_budget:g}")
+    if not all(math.isfinite(v) for v in (lo_db, hi_db, tol_db)):
+        raise ValueError(f"EVM bracket and tolerance must be finite, got [{lo_db:g}, {hi_db:g}] dB "
+                         f"and tolerance {tol_db:g} dB")
+    if not lo_db < hi_db:
+        raise ValueError(f"EVM bracket needs lo < hi, got [{lo_db:g}, {hi_db:g}] dB")
+    if hi_db > 0:
+        raise ValueError(f"EVM bracket cannot reach above 0 dB, got hi {hi_db:g} dB")
+    if tol_db <= 0:
+        raise ValueError(f"EVM tolerance must be positive, got {tol_db:g} dB")
+
+
 def max_evm_for_loss(
     query: LossQuery,
     snr_db: float,
@@ -80,17 +97,11 @@ def max_evm_for_loss(
     when the budget is infeasible everywhere in [lo_db, hi_db]; -inf is an
     answer, not an error. Otherwise bisect and return the feasible end of the
     final bracket, so the reported EVM is guaranteed within budget up to the
-    rate solver's own accuracy. Raises RuntimeError when a rate solve behind
-    the search does not converge.
+    rate solver's own accuracy. Raises ValueError for a search that
+    check_search rejects and RuntimeError when a rate solve behind the search
+    does not converge.
     """
-    if not 0.0 < loss_budget < 1.0:
-        raise ValueError(f"loss_budget must be a fraction in (0, 1), got {loss_budget:g}")
-    if not all(math.isfinite(v) for v in (lo_db, hi_db, tol_db)):
-        raise ValueError(f"lo_db, hi_db and tol_db must be finite, got {lo_db:g}, {hi_db:g}, {tol_db:g}")
-    if not lo_db < hi_db:
-        raise ValueError(f"need lo_db < hi_db, got [{lo_db:g}, {hi_db:g}]")
-    if tol_db <= 0:
-        raise ValueError(f"tol_db must be positive, got {tol_db:g}")
+    check_search(loss_budget, lo_db, hi_db, tol_db)
     ideal = _rate_nats(query, snr_db, -math.inf)
     if ideal <= 0:
         raise ValueError(f"ideal rate is {ideal:g} nats at snr {snr_db:g} dB, planning undefined")

@@ -3,11 +3,12 @@
 import csv
 import json
 import math
+import threading
 
 import pytest
 
 import binoisy.cli
-from binoisy.cli import _parse_snr, _point_seed, main
+from binoisy.cli import _build_parser, _dispatch, _parse_snr, _point_seed, _validate_points, main
 from binoisy.numerics import _MAX_ORDER
 
 
@@ -55,32 +56,36 @@ def test_rate_sweep_example_row_count(tmp_path):
     assert rows[0]["xi"] == ""
 
 
-def test_reruns_are_byte_identical(tmp_path):
-    args = ("rate-sweep", "--mode", "both", "--constellation", "gaussian",
-            "--snr", "0:10:5", "--evm", "-10")
-    _, a = run(tmp_path, *args, name="a.csv")
-    _, b = run(tmp_path, *args, name="b.csv")
+@pytest.mark.parametrize("args", [
+    ("rate-sweep", "--mode", "both", "--constellation", "gaussian",
+     "--snr", "0:10:5", "--evm", "-10"),
+    ("rate-sweep", "--mode", "both", "--constellation", "gaussian,qpsk",
+     "--snr", "0:10:10", "--evm", "-10"),
+    # per-point child seeds
+    ("validate", "--decoder", "both", "--constellation", "gaussian", "--M", "2", "--N", "2",
+     "--snr", "0,10", "--evm", "-20,-10", "--n-channels", "50"),
+    # one row per point
+    ("evm-plan", "--decoder", "both", "--constellation", "gaussian", "--snr", "0,10,20",
+     "--evm-lo", "-40", "--tol-db", "0.1"),
+], ids=["gaussian-sweep", "sweep", "validate", "evm-plan"])
+def test_reruns_are_byte_identical(tmp_path, args):
+    code_a, a = run(tmp_path, *args, name="a.csv")
+    code_b, b = run(tmp_path, *args, name="b.csv")
+    assert code_a == code_b == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_pool_does_not_change_output(tmp_path, monkeypatch):
-    cases = [
-        ("rate-sweep", "--mode", "both", "--constellation", "gaussian,qpsk",
-         "--snr", "0:10:10", "--evm", "-10"),
-        # per-point child seeds
-        ("validate", "--decoder", "both", "--constellation", "gaussian", "--M", "2", "--N", "2",
-         "--snr", "0,10", "--evm", "-20,-10", "--n-channels", "50"),
-        # one row per point
-        ("evm-plan", "--decoder", "both", "--constellation", "gaussian", "--snr", "0,10,20",
-         "--evm-lo", "-40", "--tol-db", "0.1"),
-    ]
-    for args in cases:
-        monkeypatch.setenv("BINOISY_THREADS", "4")
-        code_par, a = run(tmp_path, *args, name="par.csv")
-        monkeypatch.setenv("BINOISY_THREADS", "1")
-        code_ser, b = run(tmp_path, *args, name="ser.csv")
-        assert code_par == code_ser == 0
-        assert a.read_bytes() == b.read_bytes(), args[0]
+def test_dispatch_runs_points_in_grid_order_on_the_calling_thread():
+    calls = []
+
+    def worker(point):
+        calls.append((point, threading.get_ident()))
+        return {"point": point}, point != 2
+
+    rows, ok = _dispatch([0, 1, 2, 3], worker)
+    assert calls == [(p, threading.get_ident()) for p in range(4)]
+    assert rows == [{"point": p} for p in range(4)]
+    assert not ok
 
 
 def test_timing_column_is_opt_in(tmp_path):
@@ -315,6 +320,37 @@ def test_validate_rejects_discrete_mismatched(tmp_path):
     code, _ = run(tmp_path, "validate", "--constellation", "qpsk",
                   "--decoder", "mismatched", "--snr", "10")
     assert code == 2
+
+
+def _no_solve(monkeypatch):
+    def called(*a, **kw):
+        raise AssertionError("a point was solved")
+
+    for name in ("matched_mi", "gmi", "make_constellation"):
+        monkeypatch.setattr(binoisy.cli, name, called)
+
+
+def test_validate_rejects_a_lattice_above_the_limit_before_solving(tmp_path, monkeypatch):
+    _no_solve(monkeypatch)
+    # qam16 at the default M=4 enumerates 16^4 = 65536 lattice points
+    code, out = run(tmp_path, "validate", "--constellation", "qam16", "--snr", "10",
+                    "--n-channels", "2")
+    assert code == 2
+    assert not out.exists()
+    # qam64 at M=2 is exactly at the limit
+    args = _build_parser(suppress_defaults=False).parse_args(
+        ["validate", "--constellation", "qam64", "--M", "2", "--N", "2", "--snr", "10"])
+    assert len(_validate_points(args)) == 1
+
+
+def test_unwritable_output_is_a_usage_error_before_solving(tmp_path, capsys, monkeypatch):
+    _no_solve(monkeypatch)
+    out = tmp_path / "missing" / "out.csv"
+    code = main(["rate-sweep", "--constellation", "qpsk", "--snr", "10", "-o", str(out)])
+    assert code == 2
+    assert not out.parent.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("binoisy: error: cannot write ")
 
 
 def test_evm_plan_output(tmp_path):

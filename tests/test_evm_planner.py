@@ -90,6 +90,8 @@ def test_validation_errors():
         max_evm_for_loss(q, 10.0, 0.05, lo_db=-5.0, hi_db=-10.0)
     with pytest.raises(ValueError):
         max_evm_for_loss(q, 10.0, 0.05, tol_db=0.0)
+    with pytest.raises(ValueError, match="above 0 dB"):
+        max_evm_for_loss(q, 10.0, 0.05, hi_db=1.0)
     with pytest.raises(ValueError):
         LossQuery(M=4, N=4, constellation="gaussian", decoder="map")
 
