@@ -20,6 +20,7 @@ __all__ = [
     "RateResult",
     "make_config",
     "make_constellation",
+    "hermitian_pd_eigvals",
     "CONSTELLATION_KINDS",
 ]
 
@@ -63,6 +64,19 @@ class SystemConfig:
         return float(np.sum(1.0 / (self.rw_eigvals + shift)))
 
 
+def hermitian_pd_eigvals(matrix: np.ndarray, n: int, name: str) -> np.ndarray:
+    """Ascending eigenvalues of matrix, after checking that it is an n x n
+    Hermitian positive-definite matrix; ValueError naming it otherwise."""
+    if matrix.shape != (n, n):
+        raise ValueError(f"{name} must be {n}x{n}, got {matrix.shape}")
+    if not np.allclose(matrix, matrix.conj().T, atol=1e-12):
+        raise ValueError(f"{name} must be Hermitian")
+    eig = np.linalg.eigvalsh(matrix)
+    if eig[0] <= 0:
+        raise ValueError(f"{name} must be positive definite (min eigenvalue {eig[0]:g})")
+    return eig
+
+
 def make_config(
     M: int,
     N: int,
@@ -72,9 +86,9 @@ def make_config(
 ) -> SystemConfig:
     """Build a SystemConfig from dB-domain knobs.
 
-    evm_db = -inf means distortion-free transmit hardware (r_v = 0). R_w
-    defaults to the identity; a supplied matrix must be Hermitian positive
-    definite.
+    snr_db must be finite. evm_db = -inf means distortion-free transmit
+    hardware (r_v = 0). R_w defaults to the identity; a supplied matrix must
+    be Hermitian positive definite.
     """
     if M < 1 or N < 1:
         raise ValueError(f"M and N must be positive, got M={M}, N={N}")
@@ -83,14 +97,10 @@ def make_config(
         eig = np.ones(N)
     else:
         R_w = np.asarray(R_w)
-        if R_w.shape != (N, N):
-            raise ValueError(f"R_w must be {N}x{N}, got {R_w.shape}")
-        if not np.allclose(R_w, R_w.conj().T, atol=1e-12):
-            raise ValueError("R_w must be Hermitian")
-        eig = np.linalg.eigvalsh(R_w)
-        if eig[0] <= 0:
-            raise ValueError(f"R_w must be positive definite (min eigenvalue {eig[0]:g})")
-    if evm_db > 0:
+        eig = hermitian_pd_eigvals(R_w, N, "R_w")
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db:g}")
+    if math.isnan(evm_db) or evm_db > 0:
         raise ValueError(f"evm_db must be <= 0 dB, got {evm_db:g}")
     gamma_bar = 10.0 ** (snr_db / 10.0) * float(np.mean(eig))
     kappa = 10.0 ** (evm_db / 20.0) if evm_db != -math.inf else 0.0

@@ -103,14 +103,12 @@ def real_mixture_expectation(
 class FixedPointResult:
     """Outcome of damped_fixed_point or of a root solve (then iterations
     counts evaluations of the root function and residual is |g| at the
-    solution). free_energy is filled in by callers that rank multiple
-    solution branches."""
+    solution)."""
 
     solution: np.ndarray
     iterations: int
     residual: float
     converged: bool
-    free_energy: float | None = None
 
 
 def damped_fixed_point(

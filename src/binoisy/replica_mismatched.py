@@ -8,6 +8,11 @@ noise variances (xi, eta) and the corresponding mean-square errors
 postulate only through the scale s_tilde = s / r_tilde, so rates are reported
 as a supremum over that single scalar. The fully general covariance path is
 kept alongside and must agree; it is exercised by the invariance tests.
+
+Both postulates run one two-stage solve: the postulated stage (xi,
+eps_tilde), then the true stage (eta, eps) for each of its branches, with one
+branch rule (_two_stage). They differ only in their trace formulas, free
+energy and penalty. White Gaussian inputs solve both stages in closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .decoupled import (
     postulated_mmse,
     true_mse,
 )
-from .model import Constellation, RateResult, SystemConfig
+from .model import Constellation, RateResult, SystemConfig, hermitian_pd_eigvals
 from .numerics import DEFAULT_ORDER, damped_fixed_point, maximize_scalar, multi_start
 from .replica_matched import matched_mi
 
@@ -127,14 +132,14 @@ def xi_gaussian_closed_form(alpha: float, gamma_bar: float, s_tilde: float) -> f
 
 
 def solve_xi_discrete(
-    s_tilde: float,
-    alpha: float,
+    xi_of: Callable[[float], float],
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
     max_iter: int = 500,
 ) -> list[tuple[float, float, int, bool]]:
-    """Jointly solve xi = s_tilde/(alpha (1 + s_tilde eps_tilde)) with
-    eps_tilde the postulated MMSE at xi.
+    """Jointly solve xi = xi_of(eps_tilde) with eps_tilde the postulated MMSE
+    at xi; xi_of is the postulate's trace formula, s_tilde/(alpha (1 +
+    s_tilde eps_tilde)) for a white one.
 
     Self-contained: neither equation involves the true channel. Returns
     candidate branches (xi, eps_tilde, iterations, converged) from the two
@@ -142,72 +147,91 @@ def solve_xi_discrete(
     accepted and use the closed-form MMSE inside the loop, which lets the
     iterative route be checked against xi_gaussian_closed_form.
     """
-    gbar = constellation.gamma_bar
-
-    def mmse_at(xi):
-        return postulated_mmse(DecoupledPostulated(xi=xi, constellation=constellation), order)
 
     def F(x):
         xi, et = float(x[0]), float(x[1])
-        return np.array([s_tilde / (alpha * (1.0 + s_tilde * et)), mmse_at(max(xi, 1e-300))])
+        post = DecoupledPostulated(xi=max(xi, 1e-300), constellation=constellation)
+        return np.array([xi_of(et), postulated_mmse(post, order)])
 
-    starts = [[s_tilde / (alpha * (1.0 + s_tilde * et0)), et0] for et0 in (0.0, gbar)]
+    starts = [[xi_of(et0), et0] for et0 in (0.0, constellation.gamma_bar)]
     found = multi_start(lambda x0: damped_fixed_point(F, x0, max_iter=max_iter), starts)
     return [(float(r.solution[0]), float(r.solution[1]), r.iterations, r.converged) for r in found]
 
 
 def solve_eta_eps(
     xi: float,
-    cfg: SystemConfig,
+    eta_of: Callable[[float], float],
+    r_v: float,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
     max_iter: int = 500,
 ) -> list[tuple[float, float, int, bool]]:
-    """Solve eta = 1/(alpha (tr(R_w)/N + eps)) with eps the true mean-square
-    error of the xi-denoiser, for the already-solved postulated scale xi.
+    """Solve eta = eta_of(eps) with eps the true mean-square error of the
+    xi-denoiser under transmit distortion r_v, for the already-solved
+    postulated scale xi; eta_of is the postulate's trace formula,
+    1/(alpha (tr(R_w)/N + eps)) for a white one.
 
-    Returns candidate branches (eta, eps, iterations, converged). For Gaussian
-    signaling eps is affine in 1/eta and the 2x2 system collapses to one
-    linear equation, solved exactly.
+    Returns candidate branches (eta, eps, iterations, converged).
     """
-    alpha, cw, r_v = cfg.alpha, cfg.cw, cfg.r_v
-    gbar = constellation.gamma_bar
-    if constellation.is_gaussian:
-        g = xi * gbar
-        A = (gbar + r_v) / (1.0 + g) ** 2
-        B = (g / (1.0 + g)) ** 2
-        # eps = A + B/eta and 1/eta = alpha(cw + eps); alpha*B < 1 always
-        eps = (A + B * alpha * cw) / (1.0 - alpha * B)
-        return [(1.0 / (alpha * (cw + eps)), eps, 0, True)]
-
     post = DecoupledPostulated(xi=xi, constellation=constellation)
 
     def F(x):
-        eps = float(x[0])
-        eta = 1.0 / (alpha * (cw + eps))
-        true = DecoupledTrue(eta=eta, r_v=r_v, constellation=constellation)
+        true = DecoupledTrue(eta=eta_of(float(x[0])), r_v=r_v, constellation=constellation)
         return np.array([true_mse(true, post, order)])
 
-    found = multi_start(lambda x0: damped_fixed_point(F, x0, max_iter=max_iter), ([1e-6], [gbar + r_v]))
-    return [(1.0 / (alpha * (cw + float(r.solution[0]))), float(r.solution[0]), r.iterations, r.converged)
-            for r in found]
+    found = multi_start(lambda x0: damped_fixed_point(F, x0, max_iter=max_iter),
+                        ([1e-6], [constellation.gamma_bar + r_v]))
+    return [(eta_of(float(r.solution[0])), float(r.solution[0]), r.iterations, r.converged) for r in found]
 
 
-def free_energy(aux: MismatchedAux, cfg: SystemConfig, constellation: Constellation,
-                order: int = DEFAULT_ORDER) -> float:
+def free_energy(s_tilde: float, xi: float, eta: float, eps: float, eps_tilde: float,
+                cfg: SystemConfig, constellation: Constellation, order: int = DEFAULT_ORDER) -> float:
     """Replica-symmetric free energy of the white-postulate system at the
-    operating point aux, in nats per stream. Among multiple fixed points the
-    physical one minimizes this."""
+    operating point (xi, eta, eps, eps_tilde), in nats per stream. Among
+    multiple fixed points the physical one minimizes this."""
     alpha, r_v = cfg.alpha, cfg.r_v
-    s_t, xi, eta, eps, eps_t = aux.s_tilde, aux.xi, aux.eta, aux.eps, aux.eps_tilde
-    common = (xi / eta + math.log(s_t) - math.log(alpha * xi)) / alpha - xi * eps
+    common = (xi / eta + math.log(s_tilde) - math.log(alpha * xi)) / alpha - xi * eps
     if constellation.is_gaussian:
         g = xi * constellation.gamma_bar
         return common + math.log1p(g) + xi * r_v / (1.0 + g)
     post = DecoupledPostulated(xi=xi, constellation=constellation)
     true = DecoupledTrue(eta=eta, r_v=r_v, constellation=constellation)
     ce = cross_entropy(true, post, order)
-    return common + xi * (xi - eta) * eps_t / eta - (xi / eta + math.log(math.pi / xi) + ce)
+    return common + xi * (xi - eta) * eps_tilde / eta - (xi / eta + math.log(math.pi / xi) + ce)
+
+
+def _two_stage(
+    stage1: list[tuple[float, float, int, bool]],
+    stage2: Callable[[float, float], list[tuple[float, float, int, bool]]],
+    energy: Callable[[float, float, float, float], float],
+    s: float,
+) -> MismatchedAux:
+    """Pick the operating point among every (xi, eps_tilde) branch of stage1
+    combined with every (eta, eps) branch stage2(xi, eps_tilde) returns.
+
+    energy(xi, eta, eps, eps_tilde) is the postulate's free energy; a
+    combination is converged when both of its stages are. The pick is the
+    first converged combination of smallest finite free energy, else the
+    first unconverged one of smallest finite free energy; its iterations
+    are summed over every branch of both stages.
+    """
+    best: Optional[MismatchedAux] = None
+    total_iters = 0
+    for xi, eps_t, it1, conv1 in stage1:
+        total_iters += it1
+        for eta, eps, it2, conv2 in stage2(xi, eps_t):
+            total_iters += it2
+            f = energy(xi, eta, eps, eps_t)
+            if not math.isfinite(f):
+                continue
+            conv = conv1 and conv2
+            if best is None or (conv, -f) > (best.converged, -best.free_energy):
+                best = MismatchedAux(s_tilde=s, xi=xi, eta=eta, eps=eps, eps_tilde=eps_t,
+                                     free_energy=f, converged=conv, iterations=0)
+    if best is None:
+        raise ValueError(f"no usable fixed point at s={s:g}")
+    best.iterations = total_iters
+    return best
 
 
 def _penalty_white(s_tilde: float, cfg: SystemConfig) -> float:
@@ -223,45 +247,43 @@ def gmi_at_s(
 ) -> tuple[float, MismatchedAux]:
     """Per-stream GMI in nats at a fixed postulated noise scale s_tilde.
 
-    Runs the two-stage solve (xi, eps_tilde) then (eta, eps), enumerates every
-    converged branch combination, and reports the free-energy-minimizing one.
+    Runs the two-stage solve (xi, eps_tilde) then (eta, eps) and reports the
+    free-energy-minimizing branch combination. Gaussian inputs solve both
+    stages in closed form: xi from its quadratic, and eps affine in 1/eta,
+    which collapses stage two to one linear equation.
     """
     if s_tilde <= 0:
         raise ValueError(f"s_tilde must be positive, got {s_tilde:g}")
-    alpha = cfg.alpha
+    alpha, cw, r_v = cfg.alpha, cfg.cw, cfg.r_v
     gbar = constellation.gamma_bar
+
+    def eta_of(eps):
+        return 1.0 / (alpha * (cw + eps))
+
     if constellation.is_gaussian:
         xi = xi_gaussian_closed_form(alpha, gbar, s_tilde)
         stage1 = [(xi, gbar / (1.0 + xi * gbar), 0, True)]
-    else:
-        stage1 = solve_xi_discrete(s_tilde, alpha, constellation, order, max_iter)
 
-    best: Optional[MismatchedAux] = None
-    total_iters = 0
-    any_converged = False
-    for xi, eps_t, it1, conv1 in stage1:
-        total_iters += it1
-        if xi <= 0:
-            continue
-        for eta, eps, it2, conv2 in solve_eta_eps(xi, cfg, constellation, order, max_iter):
-            total_iters += it2
-            cand = MismatchedAux(
-                s_tilde=s_tilde, xi=xi, eta=eta, eps=eps, eps_tilde=eps_t,
-                free_energy=math.nan, converged=conv1 and conv2, iterations=0,
-            )
-            cand.free_energy = free_energy(cand, cfg, constellation, order)
-            if not math.isfinite(cand.free_energy):
-                continue
-            if cand.converged:
-                any_converged = True
-            if best is None or (cand.converged, -cand.free_energy) > (best.converged, -best.free_energy):
-                best = cand
-    if best is None:
-        raise ValueError(f"no usable fixed point at s_tilde={s_tilde:g}")
-    best.iterations = total_iters
-    best.converged = any_converged
-    value = best.free_energy - _penalty_white(s_tilde, cfg)
-    return value, best
+        def stage2(xi, eps_t):
+            g = xi * gbar
+            A = (gbar + r_v) / (1.0 + g) ** 2
+            B = (g / (1.0 + g)) ** 2
+            # eps = A + B/eta and 1/eta = alpha(cw + eps); alpha*B < 1 always
+            eps = (A + B * alpha * cw) / (1.0 - alpha * B)
+            return [(eta_of(eps), eps, 0, True)]
+    else:
+        stage1 = solve_xi_discrete(lambda et: s_tilde / (alpha * (1.0 + s_tilde * et)),
+                                   constellation, order, max_iter)
+
+        def stage2(xi, eps_t):
+            return solve_eta_eps(xi, eta_of, r_v, constellation, order, max_iter)
+
+    aux = _two_stage(
+        stage1, stage2,
+        lambda xi, eta, eps, eps_t: free_energy(s_tilde, xi, eta, eps, eps_t, cfg, constellation, order),
+        s_tilde,
+    )
+    return aux.free_energy - _penalty_white(s_tilde, cfg), aux
 
 
 def _scale_search(
@@ -330,18 +352,14 @@ def gmi_highsnr_gaussian(alpha: float, kappa: float) -> RateResult:
         raise ValueError(f"alpha must be positive, got {alpha:g}")
     k2 = kappa * kappa
 
-    def xi_g(sg):
-        t = sg * (1.0 - alpha) - alpha
-        return (t + math.sqrt(4.0 * alpha * sg + t * t)) / (2.0 * alpha)
-
     def h(sg):
-        x = xi_g(sg)
+        x = xi_gaussian_closed_form(alpha, 1.0, sg)
         return math.log(sg / (alpha * x)) / alpha + math.log1p(x) + k2 * x / (1.0 + x) - sg * k2 / alpha
 
     sg_star, val = maximize_scalar(h, seed_grid(1.0 / k2))
     return RateResult(
         rate_nats=val,
-        params={"xi": xi_g(sg_star)},
+        params={"xi": xi_gaussian_closed_form(alpha, 1.0, sg_star)},
         s_tilde=sg_star,
         free_energy=None,
         converged=True,
@@ -417,54 +435,25 @@ def gmi_at_s_general(
     order: int = DEFAULT_ORDER,
     max_iter: int = 500,
 ) -> tuple[float, MismatchedAux]:
-    """GMI at fixed s for an arbitrary Hermitian postulated covariance."""
-    alpha = cfg.alpha
+    """GMI at fixed s for an arbitrary Hermitian postulated covariance: the
+    two-stage solve of gmi_at_s with the matrix trace formulas, free energy
+    and penalty. Gaussian inputs run the iterative stages."""
 
-    def mmse_at(xi):
-        return postulated_mmse(DecoupledPostulated(xi=xi, constellation=constellation), order)
+    def traces(eps, eps_t):
+        return general_aux_traces(cfg.R_w, R_tilde, s, eps, eps_t, cfg.alpha)
 
-    def stage1_map(x):
-        xi, et = float(x[0]), float(x[1])
-        _, xi_new = general_aux_traces(cfg.R_w, R_tilde, s, 0.0, et, alpha)
-        return np.array([xi_new, mmse_at(max(xi, 1e-300))])
-
-    gbar = constellation.gamma_bar
-    starts = [[general_aux_traces(cfg.R_w, R_tilde, s, 0.0, et0, alpha)[1], et0] for et0 in (0.0, gbar)]
-    stage1 = multi_start(lambda x0: damped_fixed_point(stage1_map, x0, max_iter=max_iter), starts)
-
-    best = None
-    total_iters = 0
-    for r1 in stage1:
-        xi, eps_t = float(r1.solution[0]), float(r1.solution[1])
-        total_iters += r1.iterations
-        post = DecoupledPostulated(xi=xi, constellation=constellation)
-
-        def stage2_map(x):
-            eps = float(x[0])
-            eta, _ = general_aux_traces(cfg.R_w, R_tilde, s, eps, eps_t, alpha)
-            true = DecoupledTrue(eta=eta, r_v=cfg.r_v, constellation=constellation)
-            return np.array([true_mse(true, post, order)])
-
-        stage2 = multi_start(lambda x0: damped_fixed_point(stage2_map, x0, max_iter=max_iter),
-                             ([1e-6], [gbar + cfg.r_v]))
-        for r2 in stage2:
-            eps = float(r2.solution[0])
-            total_iters += r2.iterations
-            eta, _ = general_aux_traces(cfg.R_w, R_tilde, s, eps, eps_t, alpha)
-            f = free_energy_general(s, xi, eta, eps, eps_t, cfg, constellation, R_tilde, order)
-            if not math.isfinite(f):
-                continue
-            conv = r1.converged and r2.converged
-            if best is None or (conv, -f) > (best[5], -best[4]):
-                best = (xi, eps_t, eta, eps, f, conv)
-    if best is None:
-        raise ValueError(f"no usable fixed point at s={s:g}")
-    xi, eps_t, eta, eps, f, conv = best
+    stage1 = solve_xi_discrete(lambda et: traces(0.0, et)[1], constellation, order, max_iter)
+    aux = _two_stage(
+        stage1,
+        lambda xi, eps_t: solve_eta_eps(xi, lambda eps: traces(eps, eps_t)[0], cfg.r_v,
+                                        constellation, order, max_iter),
+        lambda xi, eta, eps, eps_t: free_energy_general(s, xi, eta, eps, eps_t, cfg, constellation,
+                                                        R_tilde, order),
+        s,
+    )
     rti = np.linalg.inv(R_tilde)
     penalty = s * (float(np.trace(rti @ cfg.R_w).real) + cfg.r_v * float(np.trace(rti).real)) / cfg.M
-    aux = MismatchedAux(s_tilde=s, xi=xi, eta=eta, eps=eps, eps_tilde=eps_t,
-                        free_energy=f, converged=conv, iterations=total_iters)
-    return f - penalty, aux
+    return aux.free_energy - penalty, aux
 
 
 def gmi_general(
@@ -476,9 +465,7 @@ def gmi_general(
     """Supremum of gmi_at_s_general over s. For R_tilde = r I this must agree
     with gmi to the optimizer tolerance regardless of r."""
     R_tilde = np.asarray(R_tilde, dtype=complex)
-    eig = np.linalg.eigvalsh(R_tilde)
-    if eig[0] <= 0:
-        raise ValueError("R_tilde must be Hermitian positive definite")
+    eig = hermitian_pd_eigvals(R_tilde, cfg.N, "R_tilde")
     scale = float(np.mean(eig).real) / (cfg.cw + cfg.r_v)
     return _scale_search(lambda s: gmi_at_s_general(s, cfg, constellation, R_tilde, order),
                          seed_grid(scale), cfg, constellation, order)

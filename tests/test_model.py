@@ -63,6 +63,10 @@ def test_config_trace_helpers_match_dense_algebra():
         dict(M=2, N=2, snr_db=0.0, R_w=np.eye(3)),
         dict(M=2, N=2, snr_db=0.0, R_w=np.array([[1.0, 1.0], [0.0, 1.0]])),
         dict(M=2, N=2, snr_db=0.0, R_w=np.diag([1.0, -0.5])),
+        dict(M=2, N=2, snr_db=math.nan),
+        dict(M=2, N=2, snr_db=math.inf),
+        dict(M=2, N=2, snr_db=-math.inf),
+        dict(M=2, N=2, snr_db=0.0, evm_db=math.nan),
     ],
 )
 def test_config_rejects_bad_inputs(bad):

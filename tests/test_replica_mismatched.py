@@ -10,6 +10,7 @@ from binoisy.replica_matched import matched_mi
 from binoisy.replica_mismatched import (
     gmi,
     gmi_at_s,
+    gmi_at_s_general,
     gmi_general,
     gmi_highsnr_gaussian,
     seed_grid,
@@ -143,6 +144,19 @@ def test_general_path_with_colored_postulate():
         gmi_general(cfg, con, np.diag([1.0, 1.0, 1.0, -0.1]))
 
 
+@pytest.mark.parametrize("R_tilde,message", [
+    (np.eye(3), "R_tilde must be 2x2"),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), "R_tilde must be Hermitian"),
+    (np.diag([1.0, -0.5]), "R_tilde must be positive definite"),
+])
+def test_gmi_general_rejects_bad_postulates(R_tilde, message):
+    # the matrices make_config rejects as R_w; eigvalsh alone reads one
+    # triangle and would solve the non-Hermitian one as the identity
+    cfg = make_config(2, 2, 10.0, evm_db=-10.0)
+    with pytest.raises(ValueError, match=message):
+        gmi_general(cfg, make_constellation("gaussian", cfg.gamma_bar), R_tilde)
+
+
 def test_free_energy_identity_at_reported_solution():
     cfg = anchor_cfg()
     con = make_constellation("qpsk", cfg.gamma_bar)
@@ -211,3 +225,45 @@ def test_gmi_general_iterations_count_every_scan_point(monkeypatch):
     res = gmi_general(cfg, make_constellation("gaussian", cfg.gamma_bar), np.eye(cfg.N))
     assert len(ran) > 31
     assert res.iterations == sum(ran)
+
+
+# float.hex of the value with (iterations, converged) from gmi_at_s and
+# gmi_at_s_general at M=N=4, snr 10 dB, EVM -10 dB, frozen before the white
+# and general postulates shared one two-stage solve; keys are (kind, s,
+# order) and (kind, s). psk8 runs the complex-plane kernel, so it uses a
+# low order to keep the test fast.
+_FROZEN_WHITE = {
+    ("gaussian", 0.3, 48): ("0x1.414d0f74382e6p+0", 0, True),
+    ("gaussian", 1.0, 48): ("0x1.ebda5fdfcd344p-1", 0, True),
+    ("gaussian", 3.0, 48): ("-0x1.d5492b6566aa4p+0", 0, True),
+    ("qpsk", 0.3, 48): ("0x1.2b7a07f4595f8p+0", 449, True),
+    ("qpsk", 1.0, 48): ("0x1.13023d60fdb10p-2", 446, True),
+    ("qpsk", 3.0, 48): ("-0x1.7d6698fc795d9p+1", 421, True),
+    ("qam16", 0.3, 48): ("0x1.3c7aa93f40852p+0", 337, True),
+    ("qam16", 1.0, 48): ("0x1.e1972941c6a4cp-1", 516, True),
+    ("qam16", 3.0, 48): ("-0x1.96a0ff59cf89cp+0", 1081, True),
+    ("psk8", 0.3, 16): ("0x1.36026afce5dc6p+0", 381, True),
+    ("psk8", 1.0, 16): ("0x1.dbc915aaebb40p-1", 592, True),
+}
+# the coloured postulate diag(0.5, 1, 1.5, 2) on the same channel
+_FROZEN_GENERAL = {
+    ("gaussian", 1.0): ("0x1.922641ca30ea0p-1", 468, True),
+    ("qpsk", 0.3): ("0x1.1be13e242b3d8p+0", 453, True),
+    ("qpsk", 1.0): ("-0x1.288cb4dc591d4p+1", 418, True),
+    ("qpsk", 3.0): ("-0x1.6e9b57d3efed3p+3", 267, True),
+}
+
+
+@pytest.mark.parametrize("kind,s_tilde,order", sorted(_FROZEN_WHITE))
+def test_gmi_at_s_is_bit_frozen(kind, s_tilde, order):
+    cfg = anchor_cfg()
+    val, aux = gmi_at_s(s_tilde, cfg, make_constellation(kind, cfg.gamma_bar), order)
+    assert (val.hex(), aux.iterations, aux.converged) == _FROZEN_WHITE[kind, s_tilde, order]
+
+
+@pytest.mark.parametrize("kind,s", sorted(_FROZEN_GENERAL))
+def test_gmi_at_s_general_is_bit_frozen(kind, s):
+    cfg = anchor_cfg()
+    R_tilde = np.diag([0.5, 1.0, 1.5, 2.0]).astype(complex)
+    val, aux = gmi_at_s_general(s, cfg, make_constellation(kind, cfg.gamma_bar), R_tilde)
+    assert (val.hex(), aux.iterations, aux.converged) == _FROZEN_GENERAL[kind, s]
