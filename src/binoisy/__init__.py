@@ -23,7 +23,6 @@ from .decoupled import (
     matched_scalar_mi,
     matched_second_moment,
     output_entropy,
-    posterior_mean,
     postulated_mmse,
     true_mse,
 )
@@ -52,7 +51,6 @@ from .numerics import (
     maximize_scalar,
 )
 from .replica_matched import (
-    MatchedAux,
     matched_mi,
     matched_mi_highsnr,
     solve_matched_primary,
@@ -80,7 +78,6 @@ __all__ = [
     "DecoupledTrue",
     "FixedPointError",
     "LossQuery",
-    "MatchedAux",
     "McResult",
     "McSettings",
     "MismatchedAux",
@@ -106,7 +103,6 @@ __all__ = [
     "mc_mi_matched_discrete",
     "mc_mi_matched_gaussian",
     "output_entropy",
-    "posterior_mean",
     "postulated_mmse",
     "rate_loss",
     "rule_of_thumb_evm",

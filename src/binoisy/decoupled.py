@@ -32,18 +32,13 @@ from .numerics import DEFAULT_ORDER, mixture_expectation, real_mixture_expectati
 __all__ = [
     "DecoupledPostulated",
     "DecoupledTrue",
-    "posterior_mean",
-    "log_postulated_marginal",
     "postulated_mmse",
     "true_mse",
     "cross_entropy",
-    "matched_posterior_mean",
     "matched_second_moment",
     "matched_scalar_mi",
     "output_entropy",
 ]
-
-_LN_PI = math.log(math.pi)
 
 
 @dataclass(frozen=True)
@@ -71,43 +66,6 @@ class DecoupledTrue:
             raise ValueError(f"eta must be positive and finite, got {self.eta:g}")
         if self.r_v < 0:
             raise ValueError(f"r_v must be nonnegative, got {self.r_v:g}")
-
-
-# ---------------------------------------------------------------------------
-# pointwise quantities
-# ---------------------------------------------------------------------------
-
-def posterior_mean(z, ctx: DecoupledPostulated):
-    """Denoiser output <x>_q: conditional mean of the alphabet point given z
-    under the postulated channel."""
-    z = np.asarray(z, dtype=complex)
-    c = ctx.constellation
-    if c.is_gaussian:
-        g = ctx.xi * c.gamma_bar
-        return z * (g / (1.0 + g))
-    return _weights(z, c.points, 1.0 / ctx.xi)[0] @ c.points
-
-
-def log_postulated_marginal(z, ctx: DecoupledPostulated):
-    """ln q(z): log-density of the postulated channel output."""
-    z = np.asarray(z, dtype=complex)
-    c = ctx.constellation
-    if c.is_gaussian:
-        var = c.gamma_bar + 1.0 / ctx.xi
-        return -np.abs(z) ** 2 / var - math.log(var) - _LN_PI
-    return _log_mixture(z, c.points, 1.0 / ctx.xi)
-
-
-def matched_posterior_mean(z, ctx: DecoupledTrue):
-    """Conditional mean <chi> of the distorted transmit signal chi = x + v
-    given z, under the true channel law."""
-    z = np.asarray(z, dtype=complex)
-    c = ctx.constellation
-    if c.is_gaussian:
-        P = c.gamma_bar + ctx.r_v
-        g = ctx.eta * P
-        return z * (g / (1.0 + g))
-    return _matched_mean(z, c.points, ctx.eta, ctx.r_v)
 
 
 # ---------------------------------------------------------------------------

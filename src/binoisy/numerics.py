@@ -6,9 +6,11 @@ branches, and seeded scalar maximization.
 
 The matched primary fixed point and the Gaussian pairs are rooted with the
 bracketed solver (tolerance 1e-14 + 4 ulp on the unknown); the mismatched
-stages still run damped iteration (damping 0.5, step tolerance 1e-10). The
-scale searches use golden section at tolerance 1e-6 on the log axis. Only the
-per-start budget max_iter (the CLI's --max-iter) reaches them from outside:
+stages still run damped iteration under a fixed policy: damping 0.5, step
+tolerance 1e-10 and every component clamped nonnegative. The scale searches
+use golden section at a fixed tolerance of 1e-6 on the log axis. None of
+these is a parameter; only the per-start budget max_iter (the CLI's
+--max-iter) reaches the solvers from outside:
 map evaluations for the matched root solve, iterations for the damped stages
 (the Gaussian pairs keep the default budget)."""
 
@@ -38,6 +40,9 @@ _MAX_ORDER = 192  # hermgauss overflows near order 360; stay well clear
 _ROOT_XTOL = 1e-14  # root tolerance: absolute part ...
 _ROOT_RTOL = 4.0 * np.finfo(float).eps  # ... plus 4 ulp of the root
 _WALK_FACTOR = 10.0  # geometric step of the bracket search
+_DAMPING = 0.5  # damped iteration: weight of the new map value ...
+_STEP_TOL = 1e-10  # ... and the step at which it has converged
+_REFINE_TOL = 1e-6  # golden-section bracket width on the log axis
 
 
 class FixedPointError(RuntimeError):
@@ -114,33 +119,25 @@ class FixedPointResult:
 def damped_fixed_point(
     F: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
-    damping: float = 0.5,
-    tol: float = 1e-10,
     max_iter: int = 500,
-    nonneg: bool = True,
 ) -> FixedPointResult:
-    """Iterate x <- (1-damping) x + damping F(x) until the step is below tol.
+    """Iterate x <- 0.5 x + 0.5 F(x) until the step is at most 1e-10.
 
-    Components are clamped nonnegative by default (every replica unknown is a
+    Components are clamped nonnegative (every replica unknown is a
     variance-like quantity). NaN/inf from the map aborts with FixedPointError
     carrying the offending iterate.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must be in (0, 1], got {damping:g}")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if nonneg:
-        np.maximum(x, 0.0, out=x)
+    x = np.maximum(np.atleast_1d(np.asarray(x0, dtype=float)), 0.0)
     step = math.inf
     for it in range(1, max_iter + 1):
         fx = np.atleast_1d(np.asarray(F(x), dtype=float))
         if not np.all(np.isfinite(fx)):
             raise FixedPointError(f"fixed-point map returned non-finite value {fx} at x={x} (iteration {it})")
-        x_new = (1.0 - damping) * x + damping * fx
-        if nonneg:
-            np.maximum(x_new, 0.0, out=x_new)
+        x_new = (1.0 - _DAMPING) * x + _DAMPING * fx
+        np.maximum(x_new, 0.0, out=x_new)
         step = float(np.max(np.abs(x_new - x)))
         x = x_new
-        if step <= tol:
+        if step <= _STEP_TOL:
             return FixedPointResult(solution=x, iterations=it, residual=step, converged=True)
     return FixedPointResult(solution=x, iterations=max_iter, residual=step, converged=False)
 
@@ -281,7 +278,6 @@ def multi_start(
 def maximize_scalar(
     f: Callable[[float], float],
     seeds: Sequence[float],
-    refine_tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Maximize f over positive scalars: evaluate every seed, then refine the
     bracket around the best seed by golden-section search on the log axis.
@@ -307,7 +303,7 @@ def maximize_scalar(
     c = lb - inv_phi * (lb - la)
     d = la + inv_phi * (lb - la)
     fc, fd = f(math.exp(c)), f(math.exp(d))
-    while lb - la > refine_tol:
+    while lb - la > _REFINE_TOL:
         if fc > fd:
             lb, d, fd = d, c, fc
             c = lb - inv_phi * (lb - la)

@@ -11,14 +11,13 @@ distortion alone and prices the information carried by v itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .decoupled import DecoupledTrue, matched_scalar_mi, matched_second_moment
 from .model import Constellation, RateResult, SystemConfig
 from .numerics import DEFAULT_ORDER, bracketed_root, multi_start, nearest_root
 
 __all__ = [
-    "MatchedAux",
+    "matched_residuals",
     "solve_matched_primary",
     "solve_matched_prime",
     "matched_mi",
@@ -28,29 +27,20 @@ __all__ = [
 _EPS_SEED_FLOOR = 1e-6
 
 
-@dataclass
-class MatchedAux:
-    """Solved matched fixed points plus solver diagnostics."""
-
-    eta: float
-    eps: float
-    eta_prime: float
-    eps_prime: float
-    converged: bool
-    iterations: int
-
-    def residuals(self, cfg: SystemConfig, constellation: Constellation, order: int = DEFAULT_ORDER) -> dict:
-        """Absolute violation of each fixed-point equation at the solution."""
-        M = cfg.M
-        res = {
-            "eta": abs(self.eta - cfg.trinv_rw_plus(self.eps) / M),
-            "eta_prime": abs(self.eta_prime - cfg.trinv_rw_plus(self.eps_prime) / M),
-            "eps_prime": abs(self.eps_prime - cfg.r_v / (1.0 + self.eta_prime * cfg.r_v)),
-        }
-        true_ctx = DecoupledTrue(eta=self.eta, r_v=cfg.r_v, constellation=constellation)
-        target = cfg.gamma_bar + cfg.r_v - matched_second_moment(true_ctx, order)
-        res["eps"] = abs(self.eps - target)
-        return res
+def matched_residuals(res: RateResult, cfg: SystemConfig, constellation: Constellation,
+                      order: int = DEFAULT_ORDER) -> dict:
+    """Absolute violation of each matched fixed-point equation at the
+    solution matched_mi reported in res.params."""
+    p, M = res.params, cfg.M
+    out = {
+        "eta": abs(p["eta"] - cfg.trinv_rw_plus(p["eps"]) / M),
+        "eta_prime": abs(p["eta_prime"] - cfg.trinv_rw_plus(p["eps_prime"]) / M),
+        "eps_prime": abs(p["eps_prime"] - cfg.r_v / (1.0 + p["eta_prime"] * cfg.r_v)),
+    }
+    true_ctx = DecoupledTrue(eta=p["eta"], r_v=cfg.r_v, constellation=constellation)
+    target = cfg.gamma_bar + cfg.r_v - matched_second_moment(true_ctx, order)
+    out["eps"] = abs(p["eps"] - target)
+    return out
 
 
 def _solve_gaussian_pair(cfg: SystemConfig, P: float) -> tuple[float, float]:

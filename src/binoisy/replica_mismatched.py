@@ -82,6 +82,10 @@ def _rate_ceiling(
     return ceiling.rate_nats + _CEILING_TOL
 
 
+class _NoUsableFixedPoint(ValueError):
+    """No branch combination of the two-stage solve has a finite free energy."""
+
+
 @dataclass
 class MismatchedAux:
     """One solved operating point of the mismatched system."""
@@ -229,7 +233,7 @@ def _two_stage(
                 best = MismatchedAux(s_tilde=s, xi=xi, eta=eta, eps=eps, eps_tilde=eps_t,
                                      free_energy=f, converged=conv, iterations=0)
     if best is None:
-        raise ValueError(f"no usable fixed point at s={s:g}")
+        raise _NoUsableFixedPoint(f"no usable fixed point at s={s:g}")
     best.iterations = total_iters
     return best
 
@@ -296,8 +300,9 @@ def _scale_search(
 ) -> RateResult:
     """Supremum of at_s(s) -> (value, aux) over the postulated scale s.
 
-    Scan points that raise, fail to converge or cross the matched-rate
-    ceiling are dropped; iterations are summed over every scan point.
+    Scan points without a usable fixed point, that fail to converge or that
+    cross the matched-rate ceiling are dropped; any other error propagates.
+    iterations are summed over every scan point.
     """
     cache: dict[float, tuple[float, MismatchedAux]] = {}
     iterations = 0
@@ -307,7 +312,7 @@ def _scale_search(
         nonlocal iterations
         try:
             val, aux = at_s(s)
-        except ValueError:
+        except _NoUsableFixedPoint:
             return -math.inf
         cache[s] = (val, aux)
         iterations += aux.iterations

@@ -19,7 +19,7 @@ from binoisy.montecarlo import (
     mc_mi_matched_discrete,
     mc_mi_matched_gaussian,
 )
-from binoisy.replica_matched import MatchedAux, matched_mi, matched_mi_highsnr
+from binoisy.replica_matched import matched_mi, matched_mi_highsnr, matched_residuals
 from binoisy.replica_mismatched import (
     gmi,
     gmi_at_s,
@@ -139,11 +139,7 @@ def test_criterion_07_fixed_point_soundness():
             cfg = make_config(4, 4, snr, evm_db=-10.0)
             con = make_constellation(kind, cfg.gamma_bar)
             m = matched_mi(cfg, con)
-            aux_m = MatchedAux(eta=m.params["eta"], eps=m.params["eps"],
-                               eta_prime=m.params["eta_prime"],
-                               eps_prime=m.params["eps_prime"],
-                               converged=m.converged, iterations=m.iterations)
-            worst_solution = max(worst_solution, *aux_m.residuals(cfg, con).values())
+            worst_solution = max(worst_solution, *matched_residuals(m, cfg, con).values())
             g = gmi(cfg, con)
             _, aux_g = gmi_at_s(g.s_tilde, cfg, con)
             worst_solution = max(worst_solution, *aux_g.residuals(cfg, con).values())

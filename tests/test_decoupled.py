@@ -8,13 +8,13 @@ import pytest
 from binoisy.decoupled import (
     DecoupledPostulated,
     DecoupledTrue,
+    _log_mixture,
+    _matched_mean,
+    _weights,
     cross_entropy,
-    log_postulated_marginal,
-    matched_posterior_mean,
     matched_scalar_mi,
     matched_second_moment,
     output_entropy,
-    posterior_mean,
     postulated_mmse,
     true_mse,
 )
@@ -76,12 +76,17 @@ def test_frozen_scalar_oracles():
 
 
 def test_bpsk_posterior_mean_is_tanh():
+    # the denoiser <x>_q = weights @ alphabet, on bpsk's complex points and on
+    # the I axis the factored kernels run
     a = math.sqrt(3.0)
     con = make_constellation("bpsk", 3.0)
-    ctx = DecoupledPostulated(xi=0.8, constellation=con)
+    xi = 0.8
     z = np.array([0.3 + 0.5j, -1.2 - 0.1j, 2.0 + 0j])
-    expect = a * np.tanh(2.0 * 0.8 * a * z.real)
-    assert np.allclose(posterior_mean(z, ctx), expect, atol=1e-12)
+    expect = a * np.tanh(2.0 * xi * a * z.real)
+    flat = _weights(z, con.points, 1.0 / xi)[0] @ con.points
+    assert np.allclose(flat, expect, atol=1e-12)
+    i_axis = con.axes[0]
+    assert np.allclose(_weights(z.real, i_axis, 1.0 / xi)[0] @ i_axis, expect, atol=1e-12)
 
 
 def test_gaussian_closed_forms():
@@ -173,7 +178,7 @@ def test_matched_posterior_mean_uses_inflated_variance():
     w = w / w.sum()
     shrink = ctx.r_v / var
     expect = (w @ con.points) * (1.0 - shrink) + z[0] * shrink
-    got = matched_posterior_mean(z, ctx)[0]
+    got = _matched_mean(z, con.points, ctx.eta, ctx.r_v)[0]
     # chi-estimate blends the point posterior with the raw observation
     assert got == pytest.approx(expect, abs=1e-12)
 
@@ -197,7 +202,7 @@ def test_log_postulated_marginal_normalizes():
     sig = math.sqrt((2.0 + 1.0 / 0.7) / 2.0)  # envelope covering the mixture
     z = sig * math.sqrt(2.0) * (t[:, None] + 1j * t[None, :])
     wz = (w[:, None] * w[None, :])
-    dens = np.exp(log_postulated_marginal(z, post_ctx))
+    dens = np.exp(_log_mixture(z, post_ctx.constellation.points, 1.0 / post_ctx.xi))
     envelope = np.exp(-(z.real**2 + z.imag**2) / (2.0 * sig * sig)) / (2.0 * math.pi * sig * sig)
     mass = float(np.sum(wz * dens / envelope))
     assert mass == pytest.approx(1.0, rel=1e-6)

@@ -60,7 +60,7 @@ def test_real_mixture_expectation_matches_complex_marginal():
 
 
 def test_damped_fixed_point_converges_on_contraction():
-    res = damped_fixed_point(lambda x: np.cos(x), [0.3], damping=1.0)
+    res = damped_fixed_point(lambda x: np.cos(x), [0.3])
     assert res.converged
     assert res.solution[0] == pytest.approx(0.7390851332151607, abs=1e-9)
 
@@ -68,22 +68,20 @@ def test_damped_fixed_point_converges_on_contraction():
 def test_damped_fixed_point_branch_depends_on_seed():
     # x -> x^2 has fixed points {0, 1}; seeds on either side of 1 must land
     # on their own basin, which is how multi-start branch hunting works
-    low = damped_fixed_point(lambda x: x**2, [0.5], damping=1.0)
+    low = damped_fixed_point(lambda x: x**2, [0.5])
     assert low.converged and low.solution[0] == pytest.approx(0.0, abs=1e-8)
-    high = damped_fixed_point(lambda x: np.sqrt(x), [9.0], damping=1.0)
+    high = damped_fixed_point(lambda x: np.sqrt(x), [9.0])
     assert high.converged and high.solution[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_damped_fixed_point_guards():
-    with pytest.raises(ValueError):
-        damped_fixed_point(lambda x: x, [1.0], damping=0.0)
     with pytest.raises(FixedPointError):
         damped_fixed_point(lambda x: x * np.inf, [1.0])
     res = damped_fixed_point(lambda x: 1.0 + x, [0.0], max_iter=5)
     assert not res.converged
     assert res.iterations == 5
-    # nonneg clamp keeps variance-like unknowns in range
-    res = damped_fixed_point(lambda x: -np.ones_like(x), [1.0], damping=1.0)
+    # the nonnegative clamp keeps variance-like unknowns in range
+    res = damped_fixed_point(lambda x: -np.ones_like(x), [1.0])
     assert res.converged and res.solution[0] == 0.0
 
 
@@ -108,7 +106,7 @@ def test_multi_start_compares_every_component():
     # fixed points (1, 0) and (1, 1) share their first component; they are
     # two branches, not one
     F = lambda x: np.array([1.0, math.sqrt(x[1])])
-    found = multi_start(lambda x0: damped_fixed_point(F, x0, damping=1.0), ([1.0, 0.0], [1.0, 0.5]))
+    found = multi_start(lambda x0: damped_fixed_point(F, x0), ([1.0, 0.0], [1.0, 0.5]))
     assert len(found) == 2
     assert found[0].solution.tolist() == [1.0, 0.0]
     assert found[1].solution == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -196,7 +194,7 @@ def test_nearest_root_finds_the_damped_branches():
 def test_maximize_scalar_refines_past_the_seed_grid():
     f = lambda s: -(math.log(s) - 0.7) ** 2
     seeds = np.logspace(-2, 2, 9)
-    x, v = maximize_scalar(f, seeds, refine_tol=1e-10)
+    x, v = maximize_scalar(f, seeds)
     assert x == pytest.approx(math.exp(0.7), rel=1e-4)
     assert v == pytest.approx(0.0, abs=1e-9)
 

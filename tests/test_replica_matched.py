@@ -7,9 +7,9 @@ import pytest
 
 from binoisy.model import make_config, make_constellation
 from binoisy.replica_matched import (
-    MatchedAux,
     matched_mi,
     matched_mi_highsnr,
+    matched_residuals,
     solve_matched_prime,
 )
 
@@ -60,11 +60,7 @@ def test_solution_residuals(kind):
         con = make_constellation(kind, cfg.gamma_bar)
         res = matched_mi(cfg, con)
         assert res.converged
-        aux = MatchedAux(eta=res.params["eta"], eps=res.params["eps"],
-                         eta_prime=res.params["eta_prime"],
-                         eps_prime=res.params["eps_prime"],
-                         converged=res.converged, iterations=res.iterations)
-        for name, violation in aux.residuals(cfg, con).items():
+        for name, violation in matched_residuals(res, cfg, con).items():
             assert violation < 1e-9, (kind, snr, name, violation)
 
 

@@ -110,6 +110,48 @@ def test_gmi_never_exceeds_matched():
             assert g.rate_nats <= m.rate_nats + 1e-7, (kind, evm)
 
 
+_ITEM_1 = "ROADMAP item 1: the discrete GMI breaks its r_v = 0 identities"
+
+
+@pytest.mark.parametrize("kind,snr", [
+    ("bpsk", 10.0), ("qpsk", 5.0), ("qpsk", 10.0), ("qam16", 10.0),
+    pytest.param("qam16", 16.0, marks=pytest.mark.xfail(strict=True, reason=_ITEM_1)),  # 5.00 bits low
+])
+def test_ideal_hardware_unit_scale_is_matched(kind, snr):
+    # with r_v = 0 the white postulate at s = 1/cw is the true channel law,
+    # so the GMI at that scale is the matched rate
+    cfg = make_config(4, 4, snr)
+    con = make_constellation(kind, cfg.gamma_bar)
+    val, _ = gmi_at_s(1.0 / cfg.cw, cfg, con)
+    assert abs(val - matched_mi(cfg, con).rate_nats) / math.log(2.0) <= 1e-9
+
+
+@pytest.mark.parametrize("kind,snr,s_tilde", [
+    pytest.param("bpsk", 10.0, 0.18, marks=pytest.mark.xfail(strict=True, reason=_ITEM_1)),  # +0.011 bits
+    pytest.param("qpsk", 10.0, 0.40, marks=pytest.mark.xfail(strict=True, reason=_ITEM_1)),  # +0.028 bits
+    pytest.param("qam16", 16.0, 0.74, marks=pytest.mark.xfail(strict=True, reason=_ITEM_1)),  # +0.060 bits
+])
+def test_fixed_scale_gmi_never_exceeds_matched(kind, snr, s_tilde):
+    # Gibbs' inequality holds at every scale, not only at the screened
+    # supremum that gmi reports
+    cfg = make_config(4, 4, snr)
+    con = make_constellation(kind, cfg.gamma_bar)
+    val, _ = gmi_at_s(s_tilde, cfg, con)
+    assert (val - matched_mi(cfg, con).rate_nats) / math.log(2.0) <= 1e-9
+
+
+def test_scale_search_propagates_errors_other_than_no_fixed_point(monkeypatch):
+    import binoisy.replica_mismatched as rmm
+
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(rmm, "free_energy", broken)
+    cfg = anchor_cfg()
+    with pytest.raises(ValueError, match="boom"):
+        gmi(cfg, make_constellation("qpsk", cfg.gamma_bar))
+
+
 def test_distortion_orders_gmi():
     cfg_lo = make_config(4, 4, 10.0, evm_db=-30.0)
     cfg_hi = make_config(4, 4, 10.0, evm_db=-10.0)
