@@ -57,7 +57,6 @@ from .replica_matched import (
     solve_matched_prime,
 )
 from .replica_mismatched import (
-    MismatchedAux,
     free_energy,
     gmi,
     gmi_at_s,
@@ -80,7 +79,6 @@ __all__ = [
     "LossQuery",
     "McResult",
     "McSettings",
-    "MismatchedAux",
     "RateResult",
     "SystemConfig",
     "cross_entropy",

@@ -13,10 +13,11 @@ therefore opt-in (--timing).
 
 Exit codes: 0 success, 1 at least one point failed to converge (suppressed
 by --allow-partial), 2 malformed request, found before any point is solved:
-a bad grid or flag value such as --max-iter below 1, --order outside the
-quadrature's range, a non-finite evm-plan bracket or tolerance, a validate
-lattice above the Monte Carlo limit, or an output path that cannot be
-written.
+a bad grid or flag value, or an output path that cannot be written. The
+point builders check a request by building what the library would build
+(every configuration, the Monte Carlo settings, the evm-plan search), so
+the library's ValueError is the usage error; only rules of the front end
+itself, such as --max-iter of at least 1, are written here.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ import numpy as np
 from .evm_planner import LossQuery, check_search, max_evm_for_loss, rule_of_thumb_evm
 from .model import CONSTELLATION_KINDS, RateResult, _unit_points, make_config, make_constellation
 from .montecarlo import (
-    LATTICE_LIMIT,
     McSettings,
+    check_lattice,
     mc_gmi_gaussian,
     mc_mi_matched_discrete,
     mc_mi_matched_gaussian,
 )
-from .numerics import _MAX_ORDER, DEFAULT_ORDER
+from .numerics import DEFAULT_ORDER, check_order
 from .replica_matched import matched_mi, matched_mi_highsnr
 from .replica_mismatched import gmi, gmi_highsnr_gaussian
 
@@ -53,8 +54,9 @@ _LN2 = math.log(2.0)
 _KINDS = tuple(k for k in CONSTELLATION_KINDS if k != "custom")
 
 
-class UsageError(Exception):
-    """Malformed request detected after flag parsing; maps to exit code 2."""
+class UsageError(ValueError):
+    """Malformed request detected after flag parsing that only the front end
+    rejects; it and every other ValueError before solving map to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +334,15 @@ def _to_unit(rate_nats: float, args) -> float:
 # order
 # ---------------------------------------------------------------------------
 
-def _check_shared(args) -> None:
-    """Check the flag groups that subcommands share."""
-    if args.M < 1 or args.N < 1:
-        raise UsageError(f"M and N must be positive, got M={args.M}, N={args.N}")
-    if not args.snr:
-        raise UsageError("empty SNR grid")
-    if any(not math.isfinite(s) for s in args.snr):
-        raise UsageError("SNR grid must be finite")
-    if not 1 <= args.order <= _MAX_ORDER:
-        raise UsageError(f"--order must be in [1, {_MAX_ORDER}], got {args.order}")
-    if "evm" in args:
-        if not args.evm:
-            raise UsageError("empty EVM list")
-        for e in args.evm:
-            if not e <= 0:  # also rejects NaN
-                raise UsageError(f"EVM must be <= 0 dB, got {e:g}")
-        if args.max_iter < 1:
-            raise UsageError(f"--max-iter must be positive, got {args.max_iter}")
+def _check_shared(args, evms: list[float]) -> None:
+    """Check the flag groups that subcommands share: the quadrature order,
+    the configuration of every (SNR, EVM) of the request, and --max-iter
+    where the subcommand has it."""
+    check_order(args.order)
+    for snr, evm in product(args.snr, evms):
+        make_config(args.M, args.N, snr, evm)
+    if "max_iter" in args and args.max_iter < 1:
+        raise UsageError(f"--max-iter must be positive, got {args.max_iter}")
 
 
 def _decoders(choice: str) -> list[str]:
@@ -358,7 +351,7 @@ def _decoders(choice: str) -> list[str]:
 
 def _rate_points(args) -> list[dict]:
     modes, snrs = _decoders(args.mode), args.snr
-    _check_shared(args)
+    _check_shared(args, args.evm)
     if args.mode == "highsnr":
         if any(k != "gaussian" for k in args.constellation):
             raise UsageError("highsnr mode is a Gaussian-signaling limit; use --constellation gaussian")
@@ -374,24 +367,26 @@ def _point_seed(root: int, index: int) -> int:
     return int(np.random.SeedSequence([root, index]).generate_state(1)[0])
 
 
+def _mc_settings(args, gaussian: bool, seed: int) -> McSettings:
+    """Monte Carlo settings of a validate point; --n-channels 0 means 10000
+    channels for Gaussian inputs and 1000 for discrete ones."""
+    return McSettings(n_channels=args.n_channels or (10000 if gaussian else 1000),
+                      n_noise=args.n_noise, seed=seed)
+
+
 def _validate_points(args) -> list[dict]:
     decoders = _decoders(args.decoder)
-    _check_shared(args)
+    _check_shared(args, args.evm)
     discrete = [k for k in args.constellation if k != "gaussian"]
     if discrete and "mismatched" in decoders:
         raise UsageError(
             "no Monte Carlo reference exists for mismatched decoding of discrete "
             f"constellations ({', '.join(discrete)}); use --decoder matched"
         )
-    if args.n_channels < 0 or (0 < args.n_channels < 2):
-        raise UsageError(f"--n-channels must be 0 (auto) or at least 2, got {args.n_channels}")
-    if args.n_noise < 1:
-        raise UsageError(f"--n-noise must be positive, got {args.n_noise}")
+    for kind in args.constellation:
+        _mc_settings(args, kind == "gaussian", args.seed)
     for kind in discrete:
-        size = len(_unit_points(kind))
-        if size**args.M > LATTICE_LIMIT:
-            raise UsageError(f"{kind} at M={args.M} needs {size}^{args.M} = {size**args.M} Monte Carlo "
-                             f"lattice points, above the limit {LATTICE_LIMIT}")
+        check_lattice(len(_unit_points(kind)), args.M)
     # each point draws from a child seed of its grid index, so its draws do
     # not depend on how many the points before it made
     grid = product(args.constellation, args.snr, args.evm, decoders)
@@ -402,11 +397,8 @@ def _validate_points(args) -> list[dict]:
 
 def _plan_points(args) -> list[dict]:
     decoders = _decoders(args.decoder)
-    _check_shared(args)
-    try:
-        check_search(args.loss, args.evm_lo, args.evm_hi, args.tol_db)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    _check_shared(args, [-math.inf])
+    check_search(args.loss, args.evm_lo, args.evm_hi, args.tol_db)
     return [{"decoder": dec, "constellation": kind, "snr_db": snr,
              "loss_budget": args.loss, "rule_of_thumb_db": rule_of_thumb_evm(snr)}
             for kind, snr, dec in product(args.constellation, args.snr, decoders)]
@@ -444,8 +436,7 @@ def _solve_validate(args, row: dict) -> bool:
     matched = row["decoder"] == "matched"
     cfg, con, res = _replica(args, row, matched)
     gaussian = row["constellation"] == "gaussian"
-    settings = McSettings(n_channels=args.n_channels or (10000 if gaussian else 1000),
-                          n_noise=args.n_noise, seed=row["seed"])
+    settings = _mc_settings(args, gaussian, row["seed"])
     if not gaussian:
         mc = mc_mi_matched_discrete(cfg, con, settings)
     else:
@@ -466,8 +457,7 @@ def _solve_validate(args, row: dict) -> bool:
 
 def _solve_plan(args, row: dict) -> bool:
     query = LossQuery(M=args.M, N=args.N, constellation=row["constellation"],
-                      decoder="gmi" if row["decoder"] == "mismatched" else "matched",
-                      order=args.order)
+                      decoder=row["decoder"], order=args.order)
     row["max_evm_db"] = max_evm_for_loss(query, row["snr_db"], args.loss,
                                          lo_db=args.evm_lo, hi_db=args.evm_hi, tol_db=args.tol_db)
     row["converged"] = True
@@ -536,7 +526,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             _apply_config(args, explicit)
         points = cmd.points(args)
         out = _open_output(args.output)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"binoisy: error: {exc}", file=sys.stderr)
         return 2
     with out as fh:

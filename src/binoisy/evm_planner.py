@@ -20,7 +20,7 @@ from .replica_mismatched import gmi
 
 __all__ = ["LossQuery", "rate_loss", "check_search", "max_evm_for_loss", "rule_of_thumb_evm", "DECODERS"]
 
-DECODERS = ("matched", "gmi")
+DECODERS = ("matched", "mismatched")
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,12 @@ def max_evm_for_loss(
 
     Returns hi_db when even the loosest hardware meets the budget and -inf
     when the budget is infeasible everywhere in [lo_db, hi_db]; -inf is an
-    answer, not an error. Otherwise bisect and return the feasible end of the
-    final bracket, so the reported EVM is guaranteed within budget up to the
-    rate solver's own accuracy. Raises ValueError for a search that
-    check_search rejects and RuntimeError when a rate solve behind the search
-    does not converge.
+    answer, not an error. Otherwise bisect until the bracket is at most
+    tol_db wide or no float lies strictly inside it, and return the feasible
+    end of the final bracket, so the reported EVM is guaranteed within
+    budget up to the rate solver's own accuracy. Raises ValueError for a
+    search that check_search rejects and RuntimeError when a rate solve
+    behind the search does not converge.
     """
     check_search(loss_budget, lo_db, hi_db, tol_db)
     ideal = _rate_nats(query, snr_db, -math.inf)
@@ -122,6 +123,8 @@ def max_evm_for_loss(
     lo, hi = lo_db, hi_db
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # tol_db below the float spacing of the bracket
+            break
         if loss(mid) <= loss_budget:
             lo = mid
         else:

@@ -86,7 +86,7 @@ def make_config(
 ) -> SystemConfig:
     """Build a SystemConfig from dB-domain knobs.
 
-    snr_db must be finite. evm_db = -inf means distortion-free transmit
+    snr_db must be finite, and 10^(snr_db/10) must not overflow. evm_db = -inf means distortion-free transmit
     hardware (r_v = 0). R_w defaults to the identity; a supplied matrix must
     be Hermitian positive definite.
     """
@@ -102,7 +102,10 @@ def make_config(
         raise ValueError(f"snr_db must be finite, got {snr_db:g}")
     if math.isnan(evm_db) or evm_db > 0:
         raise ValueError(f"evm_db must be <= 0 dB, got {evm_db:g}")
-    gamma_bar = 10.0 ** (snr_db / 10.0) * float(np.mean(eig))
+    try:
+        gamma_bar = 10.0 ** (snr_db / 10.0) * float(np.mean(eig))
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db:g} overflows the transmit power") from None
     kappa = 10.0 ** (evm_db / 20.0) if evm_db != -math.inf else 0.0
     return SystemConfig(
         M=M,

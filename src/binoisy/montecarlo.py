@@ -32,7 +32,6 @@ import numpy as np
 
 from .model import Constellation, SystemConfig
 from .numerics import maximize_scalar
-from .replica_mismatched import seed_grid
 
 __all__ = [
     "McSettings",
@@ -41,6 +40,7 @@ __all__ = [
     "mc_gmi_gaussian",
     "mc_mi_matched_gaussian",
     "mc_mi_matched_discrete",
+    "check_lattice",
     "LATTICE_LIMIT",
 ]
 
@@ -54,6 +54,15 @@ _EXP_FLOOR = -700.0
 # Exhaustive enumeration of |A|^M candidate vectors; above this it is not a
 # sampling problem anymore, it is a memory problem.
 LATTICE_LIMIT = 4096
+
+
+def check_lattice(K: int, M: int) -> None:
+    """Raise ValueError when mc_mi_matched_discrete cannot enumerate the K^M
+    symbol vectors of a K-point alphabet on M streams."""
+    if K**M > LATTICE_LIMIT:
+        raise ValueError(
+            f"candidate lattice has {K}^{M} = {K**M} points, above the limit {LATTICE_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,7 @@ def mc_gmi_gaussian(
     def objective(s: float) -> float:
         return math.fsum(per_channel(s).tolist()) / settings.n_channels
 
-    s_star, _ = maximize_scalar(objective, seed_grid(1.0 / (cfg.cw + r_v)))
+    s_star, _ = maximize_scalar(objective, 1.0 / (cfg.cw + r_v))
     mean, stderr = _mean_stderr(per_channel(s_star))
     return McResult(rate_nats=mean, stderr_nats=stderr, n_channels=settings.n_channels)
 
@@ -195,10 +204,7 @@ def mc_mi_matched_discrete(
         raise ValueError("exhaustive enumeration needs a finite constellation")
     M, N = cfg.M, cfg.N
     K = constellation.size
-    if K**M > LATTICE_LIMIT:
-        raise ValueError(
-            f"candidate lattice has {K}^{M} = {K**M} points, above the limit {LATTICE_LIMIT}"
-        )
+    check_lattice(K, M)
     points = constellation.points * math.sqrt(cfg.gamma_bar / constellation.gamma_bar)
     grids = np.meshgrid(*([points] * M), indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)  # (K^M, M)

@@ -8,10 +8,12 @@ The matched primary fixed point and the Gaussian pairs are rooted with the
 bracketed solver (tolerance 1e-14 + 4 ulp on the unknown); the mismatched
 stages still run damped iteration under a fixed policy: damping 0.5, step
 tolerance 1e-10 and every component clamped nonnegative. The scale searches
-use golden section at a fixed tolerance of 1e-6 on the log axis. None of
-these is a parameter; only the per-start budget max_iter (the CLI's
---max-iter) reaches the solvers from outside:
-map evaluations for the matched root solve, iterations for the damped stages
+(maximize_scalar) evaluate 31 log-spaced seeds from 1e-3 to 1e3 times a scale
+the caller derives from the noise level, 1/(tr(R_w)/N + r_v) for the white
+GMI, then refine by golden section to a width of 1e-6 on the log axis. None
+of these is a parameter; only the per-start budget max_iter (the CLI's
+--max-iter) reaches the solvers from outside: map evaluations for the matched
+root solve, iterations for the damped stages
 (the Gaussian pairs keep the default budget)."""
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "nearest_root",
     "maximize_scalar",
     "multi_start",
+    "check_order",
     "hermgauss_nodes",
 ]
 
@@ -49,12 +52,18 @@ class FixedPointError(RuntimeError):
     """Raised when a fixed-point map produces NaN/inf."""
 
 
+def check_order(order: int) -> None:
+    """Raise ValueError unless hermgauss_nodes supports the quadrature order;
+    computes no nodes."""
+    if not 1 <= order <= _MAX_ORDER:
+        raise ValueError(f"quadrature order must be in [1, {_MAX_ORDER}], got {order}")
+
+
 @lru_cache(maxsize=32)
 def hermgauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes t and probabilist-normalized weights w such that
     E[f(X)] = sum w_i f(sqrt(2) sigma t_i + mu) for X ~ N(mu, sigma^2)."""
-    if not 1 <= order <= _MAX_ORDER:
-        raise ValueError(f"quadrature order must be in [1, {_MAX_ORDER}], got {order}")
+    check_order(order)
     t, w = np.polynomial.hermite.hermgauss(order)
     return t, w / math.sqrt(math.pi)
 
@@ -277,17 +286,19 @@ def multi_start(
 
 def maximize_scalar(
     f: Callable[[float], float],
-    seeds: Sequence[float],
+    scale: float,
 ) -> tuple[float, float]:
-    """Maximize f over positive scalars: evaluate every seed, then refine the
-    bracket around the best seed by golden-section search on the log axis.
+    """Maximize f over positive scalars: evaluate f at the 31 seeds
+    np.logspace(-3, 3, 31) * scale, then refine the bracket around the best
+    seed by golden-section search on the log axis.
 
     Returns (argmax, max). The returned max is never below the best seed
-    value. Raises if every seed evaluates to -inf or NaN.
+    value. Raises ValueError for a scale that is not positive and finite,
+    and when every seed evaluates to -inf or NaN.
     """
-    seeds = np.sort(np.asarray(list(seeds), dtype=float))
-    if seeds.size < 1 or np.any(seeds <= 0):
-        raise ValueError("seeds must be positive scalars")
+    seeds = np.logspace(-3.0, 3.0, 31) * scale
+    if not (seeds[0] > 0 and math.isfinite(seeds[-1])):
+        raise ValueError(f"scale must be positive and finite, got {scale:g}")
     vals = np.array([f(s) for s in seeds], dtype=float)
     finite = np.isfinite(vals)
     if not finite.any():
@@ -296,8 +307,6 @@ def maximize_scalar(
     best_x, best_v = float(seeds[i]), float(vals[i])
     lo = seeds[i - 1] if i > 0 else seeds[i]
     hi = seeds[i + 1] if i + 1 < seeds.size else seeds[i]
-    if hi <= lo:
-        return best_x, best_v
     la, lb = math.log(lo), math.log(hi)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = lb - inv_phi * (lb - la)

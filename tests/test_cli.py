@@ -343,6 +343,20 @@ def test_validate_rejects_a_lattice_above_the_limit_before_solving(tmp_path, mon
     assert len(_validate_points(args)) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--constellation", "gaussian", "--snr", "10", "--seed", "-1"),
+    ("validate", "--constellation", "gaussian", "--snr", "10", "--config", "{conf}"),
+    ("rate-sweep", "--constellation", "gaussian", "--snr", "4000"),
+], ids=["negative-seed", "negative-seed-from-config", "snr-overflow"])
+def test_library_rules_are_usage_errors_before_solving(tmp_path, monkeypatch, argv):
+    _no_solve(monkeypatch)
+    conf = tmp_path / "seed.conf"
+    conf.write_text("seed = -1\n")
+    code, out = run(tmp_path, *(a.format(conf=conf) for a in argv))
+    assert code == 2
+    assert not out.exists()
+
+
 def test_unwritable_output_is_a_usage_error_before_solving(tmp_path, capsys, monkeypatch):
     _no_solve(monkeypatch)
     out = tmp_path / "missing" / "out.csv"

@@ -66,11 +66,19 @@ def test_impossible_budget_returns_minus_inf():
 
 def test_mismatched_decoder_loses_at_least_as_much():
     qm = gaussian_query("matched")
-    qg = gaussian_query("gmi")
+    qg = gaussian_query("mismatched")
     # same ideal reference (no distortion means no mismatch), weaker decoder
     assert rate_loss(qg, 10.0, -10.0) >= rate_loss(qm, 10.0, -10.0) - 1e-12
     # hence the gmi planner can never allow more distortion
     assert max_evm_for_loss(qg, 10.0, 0.05) <= max_evm_for_loss(qm, 10.0, 0.05) + 1e-9
+
+
+def test_tolerance_below_float_spacing_still_ends():
+    # below the spacing of floats near the boundary the midpoint equals an
+    # end point; the bisection must stop there, not loop
+    q = gaussian_query()
+    fine = max_evm_for_loss(q, 10.0, 0.05, tol_db=1e-12)
+    assert max_evm_for_loss(q, 10.0, 0.05, tol_db=1e-300) == pytest.approx(fine, abs=1e-9)
 
 
 def test_discrete_constellation_budget():

@@ -66,6 +66,7 @@ def test_config_trace_helpers_match_dense_algebra():
         dict(M=2, N=2, snr_db=math.nan),
         dict(M=2, N=2, snr_db=math.inf),
         dict(M=2, N=2, snr_db=-math.inf),
+        dict(M=2, N=2, snr_db=4000.0),  # 10^(snr/10) overflows
         dict(M=2, N=2, snr_db=0.0, evm_db=math.nan),
     ],
 )

@@ -191,33 +191,48 @@ def test_nearest_root_finds_the_damped_branches():
         assert r.iterations < d.iterations
 
 
+def test_maximize_scalar_seed_grid_shape_and_scaling():
+    scale = 2.0
+    evaluated = []
+
+    def f(s):
+        evaluated.append(s)
+        return -(math.log(s) - 0.7) ** 2
+
+    maximize_scalar(f, scale)
+    seeds = np.array(evaluated[:31])
+    assert np.array_equal(seeds, np.logspace(-3, 3, 31) * scale)
+    assert seeds[0] == pytest.approx(scale * 1e-3)
+    assert seeds[-1] == pytest.approx(scale * 1e3)
+    ratios = seeds[1:] / seeds[:-1]
+    assert np.allclose(ratios, ratios[0])
+
+
 def test_maximize_scalar_refines_past_the_seed_grid():
     f = lambda s: -(math.log(s) - 0.7) ** 2
-    seeds = np.logspace(-2, 2, 9)
-    x, v = maximize_scalar(f, seeds)
+    x, v = maximize_scalar(f, 1.0)
     assert x == pytest.approx(math.exp(0.7), rel=1e-4)
     assert v == pytest.approx(0.0, abs=1e-9)
 
 
 def test_maximize_scalar_never_returns_below_best_seed():
-    seeds = [0.5, 1.0, 2.0]
-    f = lambda s: 1.0 if s == 1.0 else 0.0  # flat except at one seed
-    x, v = maximize_scalar(f, seeds)
+    peak = np.logspace(-3, 3, 31)[15]  # the seed nearest 1 at scale 1
+    f = lambda s: 1.0 if s == peak else 0.0  # flat except at one seed
+    x, v = maximize_scalar(f, 1.0)
     assert v >= 1.0
     assert x == pytest.approx(1.0)
 
 
 def test_maximize_scalar_tolerates_minus_inf_regions():
     f = lambda s: -math.inf if s > 1.5 else s
-    x, v = maximize_scalar(f, [0.5, 1.0, 4.0])
+    x, v = maximize_scalar(f, 1.0)
     assert v == pytest.approx(x)
     assert x <= 1.5
 
 
 def test_maximize_scalar_input_validation():
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            maximize_scalar(lambda s: s, scale)
     with pytest.raises(ValueError):
-        maximize_scalar(lambda s: s, [])
-    with pytest.raises(ValueError):
-        maximize_scalar(lambda s: s, [-1.0, 1.0])
-    with pytest.raises(ValueError):
-        maximize_scalar(lambda s: -math.inf, [1.0, 2.0])
+        maximize_scalar(lambda s: -math.inf, 1.0)
