@@ -162,8 +162,8 @@ _LINK = [
 # replica solves at given EVMs (rate-sweep and validate)
 _SOLVE = [
     _Flag("--evm", _parse_float_list, [-math.inf], "comma list of EVM values in dB (-inf for ideal)", metavar="LIST"),
-    _Flag("--max-iter", int, 500, "budget per start: map evaluations of the matched root solve, iterations of the damped "
-          "mismatched stages", metavar="K"),
+    _Flag("--max-iter", int, 500, "budget of map evaluations per solver start (a root-solver step or a damped "
+          "iteration evaluates the map once)", metavar="K"),
     _Flag("--nats", None, False, "report rates in nats instead of bits"),
 ]
 
@@ -231,7 +231,8 @@ def _build_parser(suppress_defaults: bool) -> argparse.ArgumentParser:
 
 def _apply_config(args: argparse.Namespace, explicit: argparse.Namespace) -> None:
     """Overlay key=value pairs from --config; explicit flags win."""
-    flags = {f.dest: f for f in _COMMANDS[args.command].flags}
+    # keys match in any case: the dests of --M and --N are upper-case
+    flags = {f.dest.lower(): f for f in _COMMANDS[args.command].flags}
     path = args.config
     try:
         with open(path, encoding="utf-8") as fh:
@@ -245,13 +246,12 @@ def _apply_config(args: argparse.Namespace, explicit: argparse.Namespace) -> Non
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, text = (part.strip() for part in line.split("=", 1))
-        dest = key.lower().replace("-", "_")
-        flag = flags.get(dest)
+        flag = flags.get(key.lower().replace("-", "_"))
         if flag is None:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r} for {args.command}")
-        if dest == "config":
+        if flag.dest == "config":
             raise UsageError(f"{path}:{lineno}: config files cannot nest")
-        if hasattr(explicit, dest):
+        if hasattr(explicit, flag.dest):
             continue
         try:
             value = _parse_bool(text) if flag.conv is None else flag.conv(text)
@@ -261,7 +261,7 @@ def _apply_config(args: argparse.Namespace, explicit: argparse.Namespace) -> Non
             raise UsageError(
                 f"{path}:{lineno}: {key} must be one of {', '.join(map(str, flag.choices))}"
             )
-        setattr(args, dest, value)
+        setattr(args, flag.dest, value)
 
 
 # ---------------------------------------------------------------------------

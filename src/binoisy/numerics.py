@@ -1,20 +1,20 @@
 """Shared numerical machinery: complex-plane Gauss-Hermite quadrature, damped
-fixed-point iteration with divergence guards, a bracketed scalar root solver
-(Brent's method) with a geometric walk that finds its bracket, the
+fixed-point iteration with divergence guards, a scalar root solver that walks
+geometrically to a sign change and roots inside it by Brent's method, the
 multi-start policy that turns several solver runs into distinct solution
 branches, and seeded scalar maximization.
 
-The matched primary fixed point and the Gaussian pairs are rooted with the
-bracketed solver (tolerance 1e-14 + 4 ulp on the unknown); the mismatched
+The matched primary fixed point and the Gaussian pairs are rooted by
+nearest_root (tolerance 1e-14 + 4 ulp on the unknown); the mismatched
 stages still run damped iteration under a fixed policy: damping 0.5, step
 tolerance 1e-10 and every component clamped nonnegative. The scale searches
 (maximize_scalar) evaluate 31 log-spaced seeds from 1e-3 to 1e3 times a scale
 the caller derives from the noise level, 1/(tr(R_w)/N + r_v) for the white
 GMI, then refine by golden section to a width of 1e-6 on the log axis. None
 of these is a parameter; only the per-start budget max_iter (the CLI's
---max-iter) reaches the solvers from outside: map evaluations for the matched
-root solve, iterations for the damped stages
-(the Gaussian pairs keep the default budget)."""
+--max-iter) reaches the solvers from outside. It counts map evaluations for
+every solve: a root-solver step and a damped iteration each evaluate the map
+once (the Gaussian pairs keep the default budget)."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ __all__ = [
     "FixedPointResult",
     "mixture_expectation",
     "damped_fixed_point",
-    "bracketed_root",
     "nearest_root",
     "maximize_scalar",
     "multi_start",
@@ -167,16 +166,13 @@ class _Counted:
 
 
 def _brent(g: _Counted, a: float, b: float, ga: float, gb: float, max_eval: int) -> FixedPointResult:
-    """Brent's method on [a, b] given g(a), g(b) of opposite signs or one of
-    them zero: inverse quadratic or secant steps when they stay well inside
-    the bracket, bisection otherwise. Stops when the bracket is below
-    1e-14 + 4 ulp or g is exactly zero, or after max_eval more calls of g."""
-    if ga == 0.0:
-        return FixedPointResult(np.array([a]), g.calls, 0.0, True)
+    """Brent's method on [a, b] given g(a) != 0 and g(b) of the opposite sign
+    or zero: inverse quadratic or secant steps when they stay well inside the
+    bracket (and their denominator has not underflowed to 0), bisection
+    otherwise. Stops when the bracket is below 1e-14 + 4 ulp or g is exactly
+    zero, or after max_eval more calls of g."""
     if gb == 0.0:
         return FixedPointResult(np.array([b]), g.calls, 0.0, True)
-    if (ga < 0.0) == (gb < 0.0):
-        raise ValueError(f"bracket [{a:g}, {b:g}] does not contain a sign change")
     budget = g.calls + max_eval
     # cur is the best estimate, pre the previous one, blk the point that
     # keeps the sign change with cur; step/prev_step are the last two steps
@@ -197,11 +193,12 @@ def _brent(g: _Counted, a: float, b: float, ga: float, gb: float, max_eval: int)
             return FixedPointResult(np.array([cur]), g.calls, abs(gcur), False)
         if abs(prev_step) > delta and abs(gcur) < abs(gpre):
             if pre == blk:  # secant
-                trial = -gcur * (cur - pre) / (gcur - gpre)
+                num, den = -gcur * (cur - pre), gcur - gpre
             else:  # inverse quadratic interpolation
                 d_pre = (gpre - gcur) / (pre - cur)
                 d_blk = (gblk - gcur) / (blk - cur)
-                trial = -gcur * (gblk * d_blk - gpre * d_pre) / (d_blk * d_pre * (gblk - gpre))
+                num, den = -gcur * (gblk * d_blk - gpre * d_pre), d_blk * d_pre * (gblk - gpre)
+            trial = num / den if den != 0.0 else math.inf
             if 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - delta):
                 prev_step, step = step, trial
             else:
@@ -211,21 +208,6 @@ def _brent(g: _Counted, a: float, b: float, ga: float, gb: float, max_eval: int)
         pre, gpre = cur, gcur
         cur += step if abs(step) > delta else math.copysign(delta, half)
         gcur = g(cur)
-
-
-def bracketed_root(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    max_eval: int = 500,
-) -> FixedPointResult:
-    """Root of g on [lo, hi] by Brent's method; g(lo) and g(hi) must not
-    share a strict sign (ValueError otherwise), so a zero-width bracket holds
-    a root only where g is zero. iterations counts every call of g, the two
-    end points included, and running out of max_eval calls returns the best
-    point with converged=False. NaN/inf from g raises FixedPointError."""
-    f = _Counted(g)
-    return _brent(f, lo, hi, f(lo), f(hi), max_eval - 2)
 
 
 def nearest_root(

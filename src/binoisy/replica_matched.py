@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .decoupled import DecoupledTrue, matched_scalar_mi, matched_second_moment
 from .model import Constellation, RateResult, SystemConfig
-from .numerics import DEFAULT_ORDER, bracketed_root, multi_start, nearest_root
+from .numerics import DEFAULT_ORDER, multi_start, nearest_root
 
 __all__ = [
     "matched_residuals",
@@ -45,14 +47,20 @@ def matched_residuals(res: RateResult, cfg: SystemConfig, constellation: Constel
 
 def _solve_gaussian_pair(cfg: SystemConfig, P: float) -> tuple[float, float]:
     """(eta, e) with eta = tr((R_w + e I)^-1)/M and e = P/(1 + eta P), the
-    pair of a Gaussian input of power P; rooted directly on [0, P]."""
-    M = cfg.M
+    pair of a Gaussian input of power P. Multiplying 1/e = 1/P + eta by e
+    gives g(e) = e/P - (1/M) sum_i lam_i/(lam_i + e) - (1 - N/M) over the
+    eigenvalues lam_i of R_w: increasing, -1 at 0 and positive at P, with no
+    difference of terms that a large P can round to zero. It is rooted by
+    the walk down from P."""
+    M, N = cfg.M, cfg.N
+    if P == 0.0:
+        return cfg.trinv_rw_plus(0.0) / M, 0.0
+    lam = cfg.rw_eigvals
 
     def g(e):
-        eta = cfg.trinv_rw_plus(e) / M
-        return e - P / (1.0 + eta * P)
+        return e / P - float(np.sum(lam / (lam + e))) / M - (1.0 - N / M)
 
-    e = float(bracketed_root(g, 0.0, P).solution[0])
+    e = float(nearest_root(g, P).solution[0])
     return cfg.trinv_rw_plus(e) / M, e
 
 

@@ -180,6 +180,21 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert code == 2
 
 
+def test_config_file_sets_the_link_shape(tmp_path, capsys):
+    # --M and --N store to upper-case dests; config keys match either case
+    flags = ("rate-sweep", "--mode", "matched", "--snr", "0,10", "--evm=-10")
+    assert main(list(flags)) == 0
+    default = capsys.readouterr().out
+    conf = tmp_path / "shape.conf"
+    for text, M, N in (("M = 2\nN = 2\n", "2", "2"), ("m = 2\nn = 4\n", "2", "4")):
+        assert main([*flags, "--M", M, "--N", N]) == 0
+        expected = capsys.readouterr().out
+        conf.write_text(text)
+        assert main([*flags, "--config", str(conf)]) == 0
+        assert capsys.readouterr().out == expected
+    assert expected != default  # alpha = 1/2, not the default 1
+
+
 def test_nonconvergence_exit_code_and_allow_partial(tmp_path):
     args = ("rate-sweep", "--mode", "matched", "--constellation", "qpsk",
             "--snr", "10", "--evm", "-10", "--max-iter", "2")

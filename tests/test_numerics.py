@@ -7,7 +7,6 @@ import pytest
 
 from binoisy.numerics import (
     FixedPointError,
-    bracketed_root,
     damped_fixed_point,
     hermgauss_nodes,
     maximize_scalar,
@@ -121,11 +120,13 @@ def counted(g):
     return wrapped, calls
 
 
-def test_bracketed_root_finds_known_root_in_few_evaluations():
+def test_nearest_root_finds_known_roots_in_few_evaluations():
+    # the walk brackets x^3 = 2 from 2.0 (down to 0.2) before rooting
     g, calls = counted(lambda x: x**3 - 2.0)
-    res = bracketed_root(g, 0.0, 2.0)
+    res = nearest_root(g, 2.0)
     assert res.converged
     assert res.solution[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-14)
+    assert calls[:2] == [2.0, 0.2]
     assert res.iterations == len(calls) <= 12
     assert res.residual == abs(g(res.solution[0]))
     # the walk brackets x = cos(x) from 0.2 (up to 2.0) before rooting
@@ -138,10 +139,13 @@ def test_bracketed_root_finds_known_root_in_few_evaluations():
 
 
 def test_root_solvers_honour_the_evaluation_budget():
+    # two calls walk to the bracket [0.2, 2.0]; the budget runs out in Brent
     g, calls = counted(lambda x: x**3 - 2.0)
-    res = bracketed_root(g, 0.0, 2.0, max_eval=4)
+    res = nearest_root(g, 2.0, max_eval=4)
     assert not res.converged
     assert res.iterations == len(calls) == 4
+    assert calls[:2] == [2.0, 0.2]
+    assert 0.2 < res.solution[0] < 2.0
     # no root above the start: the upward walk runs out of budget
     g, calls = counted(lambda x: -1.0)
     res = nearest_root(g, 1.0, max_eval=5)
@@ -152,19 +156,17 @@ def test_root_solvers_honour_the_evaluation_budget():
 
 def test_root_solver_guards():
     with pytest.raises(ValueError):
-        bracketed_root(lambda x: x + 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
         nearest_root(lambda x: x, 0.0)
     with pytest.raises(FixedPointError):
         nearest_root(lambda x: math.nan, 1.0)
 
 
-def test_zero_width_bracket_returns_its_end():
-    # the Gaussian pair e = P/(1 + eta P) at P = 0 is rooted on [0, 0]
-    res = bracketed_root(lambda e: e - 0.0 / (1.0 + e), 0.0, 0.0)
-    assert res.converged and res.solution[0] == 0.0
-    with pytest.raises(ValueError):
-        bracketed_root(lambda e: e + 1.0, 0.0, 0.0)
+def test_nearest_root_survives_an_underflowing_interpolation():
+    # g and x differ in scale by 1e300, so the inverse-quadratic denominator
+    # underflows to 0; Brent must bisect instead of dividing by it
+    res = nearest_root(lambda x: x / 1e300 - 0.7 / (1.0 + x), 1e300)
+    assert res.converged
+    assert res.solution[0] == pytest.approx(math.sqrt(0.7e300), rel=1e-12)
 
 
 def test_nearest_root_clamps_at_zero():

@@ -1,6 +1,7 @@
 """Matched-decoding rate via the large-system fixed point."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -51,6 +52,43 @@ def test_ideal_hardware_prime_pair_is_trivial():
     eta_p, eps_p = solve_matched_prime(cfg)
     assert eps_p == 0.0
     assert eta_p == pytest.approx(cfg.trinv_rw_plus(0.0) / cfg.M)
+
+
+def white_pair_root(cfg, P):
+    """Positive root e of alpha e^2 + (alpha cw + (1 - alpha) P) e - alpha P cw = 0,
+    the Gaussian pair of power P under white receive noise, in 60-digit
+    decimal arithmetic on the form that does not cancel."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, cw, P = Decimal(cfg.M) / Decimal(cfg.N), Decimal(cfg.cw), Decimal(P)
+        b, c = a * cw + (1 - a) * P, a * P * cw
+        sq = (b * b + 4 * a * c).sqrt()
+        return float(2 * c / (b + sq) if b > 0 else (sq - b) / (2 * a))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 1), (1, 8), (3, 5)])
+@pytest.mark.parametrize("snr", [300.0, 1000.0, 3000.0])
+def test_gaussian_pairs_match_the_white_closed_form(shape, snr):
+    # at these powers cw + e rounds to e, where e - P/(1 + eta P) is exactly
+    # 0 over a wide range of e; eps' once read 4.6e15 at 3000 dB, not 3.2e149
+    cfg = make_config(*shape, snr, evm_db=-10.0)
+    _, eps_p = solve_matched_prime(cfg)
+    assert eps_p == pytest.approx(white_pair_root(cfg, cfg.r_v), rel=1e-12, abs=0.0)
+    res = matched_mi(cfg, make_constellation("gaussian", cfg.gamma_bar))
+    assert res.converged
+    assert res.params["eps"] == pytest.approx(white_pair_root(cfg, cfg.gamma_bar + cfg.r_v), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("snr", [30.0, 300.0, 3000.0])
+def test_colored_gaussian_pairs_solve_their_equation(snr):
+    # M = N: e/P = (1/M) sum_i lam_i/(lam_i + e), whose two sides never
+    # cancel; the forward form e = P/(1 + eta P) would hold for a wrong e
+    R_w = np.diag([0.5, 1.0, 2.0, 4.0]).astype(complex)
+    cfg = make_config(4, 4, snr, evm_db=-10.0, R_w=R_w)
+    res = matched_mi(cfg, make_constellation("gaussian", cfg.gamma_bar))
+    lam = cfg.rw_eigvals
+    for e, P in ((res.params["eps"], cfg.gamma_bar + cfg.r_v), (res.params["eps_prime"], cfg.r_v)):
+        assert e / P == pytest.approx(float(np.mean(lam / (lam + e))), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "qpsk", "qam16"])
