@@ -9,7 +9,7 @@ downstream consumes the quantities bundled here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -20,6 +20,7 @@ __all__ = [
     "RateResult",
     "make_config",
     "make_constellation",
+    "at_power",
     "hermitian_pd_eigvals",
     "CONSTELLATION_KINDS",
 ]
@@ -86,9 +87,10 @@ def make_config(
 ) -> SystemConfig:
     """Build a SystemConfig from dB-domain knobs.
 
-    snr_db must be finite, and 10^(snr_db/10) must not overflow. evm_db = -inf means distortion-free transmit
-    hardware (r_v = 0). R_w defaults to the identity; a supplied matrix must
-    be Hermitian positive definite.
+    snr_db must be finite, 10^(snr_db/10) must not overflow, and the
+    transmit power must not underflow to 0. evm_db = -inf means
+    distortion-free transmit hardware (r_v = 0). R_w defaults to the
+    identity; a supplied matrix must be Hermitian positive definite.
     """
     if M < 1 or N < 1:
         raise ValueError(f"M and N must be positive, got M={M}, N={N}")
@@ -106,6 +108,8 @@ def make_config(
         gamma_bar = 10.0 ** (snr_db / 10.0) * float(np.mean(eig))
     except OverflowError:
         raise ValueError(f"snr_db {snr_db:g} overflows the transmit power") from None
+    if gamma_bar == 0.0:
+        raise ValueError(f"snr_db {snr_db:g} underflows the transmit power to 0")
     kappa = 10.0 ** (evm_db / 20.0) if evm_db != -math.inf else 0.0
     return SystemConfig(
         M=M,
@@ -206,6 +210,20 @@ def make_constellation(
         pts = _unit_points(kind)
     pts = pts * math.sqrt(gamma_bar)
     return Constellation(kind=kind, gamma_bar=float(gamma_bar), points=pts, axes=_product_axes(pts))
+
+
+def at_power(constellation: Constellation, cfg: SystemConfig) -> Constellation:
+    """constellation carried to the configuration's per-stream power: itself
+    when its gamma_bar already is cfg.gamma_bar, else a copy at cfg.gamma_bar
+    whose points are scaled by sqrt(cfg.gamma_bar / constellation.gamma_bar).
+    The configuration owns the signal power in every solver."""
+    if constellation.gamma_bar == cfg.gamma_bar:
+        return constellation
+    if constellation.gamma_bar == 0.0:
+        raise ValueError("a zero-power constellation cannot be carried to the configuration's power")
+    pts = constellation.points * math.sqrt(cfg.gamma_bar / constellation.gamma_bar)
+    return replace(constellation, gamma_bar=cfg.gamma_bar, points=pts,
+                   axes=None if constellation.axes is None else _product_axes(pts))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import Constellation, SystemConfig
+from .model import Constellation, SystemConfig, at_power
 from .numerics import maximize_scalar
 
 __all__ = [
@@ -205,7 +205,7 @@ def mc_mi_matched_discrete(
     M, N = cfg.M, cfg.N
     K = constellation.size
     check_lattice(K, M)
-    points = constellation.points * math.sqrt(cfg.gamma_bar / constellation.gamma_bar)
+    points = at_power(constellation, cfg).points
     grids = np.meshgrid(*([points] * M), indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)  # (K^M, M)
 

@@ -5,17 +5,20 @@ transmit distortion.
 Two scalar fixed-point pairs drive the result. The primary pair (eta, eps)
 describes estimation of the distorted signal chi = x + v from the channel
 output; the prime pair (eta_prime, eps_prime) describes estimation of the
-distortion alone and prices the information carried by v itself.
+distortion alone and prices the information carried by v itself. _two_stage
+solves them in that order; it is the branch loop and rule of both decoders.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from .decoupled import DecoupledTrue, matched_scalar_mi, matched_second_moment
-from .model import Constellation, RateResult, SystemConfig
+from .model import Constellation, RateResult, SystemConfig, at_power
 from .numerics import DEFAULT_ORDER, multi_start, nearest_root
 
 __all__ = [
@@ -33,7 +36,7 @@ def matched_residuals(res: RateResult, cfg: SystemConfig, constellation: Constel
                       order: int = DEFAULT_ORDER) -> dict:
     """Absolute violation of each matched fixed-point equation at the
     solution matched_mi reported in res.params."""
-    p, M = res.params, cfg.M
+    p, M, constellation = res.params, cfg.M, at_power(constellation, cfg)
     out = {
         "eta": abs(p["eta"] - cfg.trinv_rw_plus(p["eps"]) / M),
         "eta_prime": abs(p["eta_prime"] - cfg.trinv_rw_plus(p["eps_prime"]) / M),
@@ -45,23 +48,24 @@ def matched_residuals(res: RateResult, cfg: SystemConfig, constellation: Constel
     return out
 
 
-def _solve_gaussian_pair(cfg: SystemConfig, P: float) -> tuple[float, float]:
-    """(eta, e) with eta = tr((R_w + e I)^-1)/M and e = P/(1 + eta P), the
-    pair of a Gaussian input of power P. Multiplying 1/e = 1/P + eta by e
-    gives g(e) = e/P - (1/M) sum_i lam_i/(lam_i + e) - (1 - N/M) over the
-    eigenvalues lam_i of R_w: increasing, -1 at 0 and positive at P, with no
-    difference of terms that a large P can round to zero. It is rooted by
-    the walk down from P."""
+def _solve_gaussian_pair(cfg: SystemConfig, P: float) -> tuple[float, float, int, bool]:
+    """Branch (eta, e, evaluations, converged) of eta = tr((R_w + e I)^-1)/M
+    and e = P/(1 + eta P), the pair of a Gaussian input of power P. From
+    1/e = 1/P + eta, g(e) = e/P - (1/M) sum_i lam_i/(lam_i + e) - (1 - N/M)
+    over the eigenvalues lam_i of R_w: increasing, -1 at 0 and positive at
+    P, with no difference of terms that a large P can round to zero. It is
+    rooted by the walk down from P."""
     M, N = cfg.M, cfg.N
     if P == 0.0:
-        return cfg.trinv_rw_plus(0.0) / M, 0.0
+        return cfg.trinv_rw_plus(0.0) / M, 0.0, 0, True
     lam = cfg.rw_eigvals
 
     def g(e):
         return e / P - float(np.sum(lam / (lam + e))) / M - (1.0 - N / M)
 
-    e = float(nearest_root(g, P).solution[0])
-    return cfg.trinv_rw_plus(e) / M, e
+    r = nearest_root(g, P)
+    e = float(r.solution[0])
+    return cfg.trinv_rw_plus(e) / M, e, r.iterations, r.converged
 
 
 def solve_matched_prime(cfg: SystemConfig) -> tuple[float, float]:
@@ -71,7 +75,7 @@ def solve_matched_prime(cfg: SystemConfig) -> tuple[float, float]:
     distortion if the data symbols were known; it does not involve the
     constellation. r_v = 0 collapses it to eps' = 0 exactly.
     """
-    return _solve_gaussian_pair(cfg, cfg.r_v)
+    return _solve_gaussian_pair(cfg, cfg.r_v)[:2]
 
 
 def solve_matched_primary(
@@ -93,7 +97,7 @@ def solve_matched_primary(
     """
     M, P = cfg.M, cfg.gamma_bar + cfg.r_v
     if constellation.is_gaussian:
-        return [(*_solve_gaussian_pair(cfg, P), 0, True)]
+        return [_solve_gaussian_pair(cfg, P)]
 
     def g(eps):
         eta = cfg.trinv_rw_plus(eps) / M
@@ -105,16 +109,48 @@ def solve_matched_primary(
             for r in found]
 
 
-def _mi_from_branch(cfg: SystemConfig, constellation: Constellation, eta: float, eps: float,
-                    eta_p: float, eps_p: float, order: int) -> float:
-    aN = cfg.M
+def _mi_from_branch(cfg: SystemConfig, constellation: Constellation, order: int,
+                    eta_p: float, eps_p: float, eta: float, eps: float) -> float:
     true_ctx = DecoupledTrue(eta=eta, r_v=cfg.r_v, constellation=constellation)
     return (
-        (cfg.logdet_rw_plus(eps) - cfg.logdet_rw_plus(eps_p)) / aN
+        (cfg.logdet_rw_plus(eps) - cfg.logdet_rw_plus(eps_p)) / cfg.M
         - (eta * eps - eta_p * eps_p)
         + matched_scalar_mi(true_ctx, order)
         - math.log1p(eta_p * cfg.r_v)
     )
+
+
+class _NoUsableFixedPoint(ValueError):
+    """No branch combination of a two-stage solve has a finite energy."""
+
+
+def _two_stage(keys: tuple[str, str, str, str], stage1: list, stage2: Callable[[float, float], list],
+               energy: Callable[..., float], penalty: float = 0.0, s: Optional[float] = None) -> RateResult:
+    """Pick the operating point among every branch (a1, b1, iterations,
+    converged) of stage1 combined with every branch (a2, b2, ...) of
+    stage2(a1, b1), and report energy(a1, b1, a2, b2) - penalty there, with
+    params named by keys and s_tilde = s. A combination is converged when
+    both of its stages are. The pick is the first converged combination of
+    smallest finite energy, else the first unconverged one of smallest
+    finite energy; iterations are summed over every branch of both stages.
+    """
+    best = None
+    total_iters = 0
+    for a1, b1, it1, conv1 in stage1:
+        total_iters += it1
+        for a2, b2, it2, conv2 in stage2(a1, b1):
+            total_iters += it2
+            f = energy(a1, b1, a2, b2)
+            if not math.isfinite(f):
+                continue
+            conv = conv1 and conv2
+            if best is None or (conv, -f) > (best.converged, -best.free_energy):
+                best = RateResult(f - penalty, dict(zip(keys, (a1, b1, a2, b2))),
+                                  s_tilde=s, free_energy=f, converged=conv)
+    if best is None:
+        raise _NoUsableFixedPoint(f"no usable fixed point at s={s}")
+    best.iterations = total_iters
+    return best
 
 
 def matched_mi(
@@ -123,31 +159,21 @@ def matched_mi(
     order: int = DEFAULT_ORDER,
     max_iter: int = 500,
 ) -> RateResult:
-    """Per-stream mutual information in nats under matched decoding.
+    """Per-stream mutual information in nats under matched decoding, with
+    the constellation carried to the configuration's power (model.at_power).
 
     When the primary pair is multivalued the branch with the smaller rate is
     reported; the rate differs from the matched free energy by a
     solution-independent constant, so that choice is the free-energy
-    minimizer.
+    minimizer. The result is converged when the prime pair and the chosen
+    branch are; iterations counts both pairs' evaluations.
     """
-    eta_p, eps_p = solve_matched_prime(cfg)
-    branches = solve_matched_primary(cfg, constellation, order, max_iter)
-    usable = [b for b in branches if b[3]] or branches
-    best = None
-    for eta, eps, its, conv in usable:
-        mi = _mi_from_branch(cfg, constellation, eta, eps, eta_p, eps_p, order)
-        if best is None or mi < best[0]:
-            best = (mi, eta, eps, its, conv)
-    mi, eta, eps, its, conv = best
-    total_iters = sum(b[2] for b in branches)
-    return RateResult(
-        rate_nats=mi,
-        params={"eta": eta, "eps": eps, "eta_prime": eta_p, "eps_prime": eps_p},
-        s_tilde=None,
-        free_energy=None,
-        converged=conv,
-        iterations=total_iters,
-    )
+    constellation = at_power(constellation, cfg)
+    return replace(_two_stage(
+        ("eta_prime", "eps_prime", "eta", "eps"), [_solve_gaussian_pair(cfg, cfg.r_v)],
+        lambda eta_p, eps_p: solve_matched_primary(cfg, constellation, order, max_iter),
+        lambda *aux: _mi_from_branch(cfg, constellation, order, *aux),
+    ), free_energy=None)
 
 
 def matched_mi_highsnr(alpha: float, kappa: float) -> float:

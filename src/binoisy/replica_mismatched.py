@@ -9,17 +9,18 @@ postulate only through the scale s_tilde = s / r_tilde, so rates are reported
 as a supremum over that single scalar. The fully general covariance path is
 kept alongside and must agree; it is exercised by the invariance tests.
 
-Both postulates run one two-stage solve: the postulated stage (xi,
-eps_tilde), then the true stage (eta, eps) for each of its branches, with one
-branch rule (_two_stage). They differ only in their trace formulas, free
-energy and penalty. White Gaussian inputs solve both stages in closed form.
+Both postulates run one two-stage solve, the matched rate's
+(replica_matched._two_stage): the postulated stage (xi, eps_tilde), then the
+true stage (eta, eps) for each of its branches. They differ only in their
+trace formulas, free energy and penalty. White Gaussian inputs solve both
+stages in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,9 +31,9 @@ from .decoupled import (
     postulated_mmse,
     true_mse,
 )
-from .model import Constellation, RateResult, SystemConfig, hermitian_pd_eigvals
+from .model import Constellation, RateResult, SystemConfig, at_power, hermitian_pd_eigvals
 from .numerics import DEFAULT_ORDER, damped_fixed_point, maximize_scalar, multi_start
-from .replica_matched import matched_mi
+from .replica_matched import _NoUsableFixedPoint, _two_stage, matched_mi
 
 __all__ = [
     "mismatched_residuals",
@@ -79,15 +80,11 @@ def _rate_ceiling(
     return ceiling.rate_nats + _CEILING_TOL
 
 
-class _NoUsableFixedPoint(ValueError):
-    """No branch combination of the two-stage solve has a finite free energy."""
-
-
 def mismatched_residuals(res: RateResult, cfg: SystemConfig, constellation: Constellation,
                          order: int = DEFAULT_ORDER) -> dict:
     """Absolute violation of each white-postulate fixed-point equation at the
     solution gmi or gmi_at_s reported in res."""
-    p, s_tilde, alpha = res.params, res.s_tilde, cfg.alpha
+    p, s_tilde, alpha, constellation = res.params, res.s_tilde, cfg.alpha, at_power(constellation, cfg)
     post = DecoupledPostulated(xi=p["xi"], constellation=constellation)
     true = DecoupledTrue(eta=p["eta"], r_v=cfg.r_v, constellation=constellation)
     return {
@@ -183,46 +180,6 @@ def free_energy(s_tilde: float, xi: float, eta: float, eps: float, eps_tilde: fl
     return common + xi * (xi - eta) * eps_tilde / eta - (xi / eta + math.log(math.pi / xi) + ce)
 
 
-def _two_stage(
-    stage1: list[tuple[float, float, int, bool]],
-    stage2: Callable[[float, float], list[tuple[float, float, int, bool]]],
-    energy: Callable[[float, float, float, float], float],
-    s: float,
-    penalty: float,
-) -> RateResult:
-    """Pick the operating point among every (xi, eps_tilde) branch of stage1
-    combined with every (eta, eps) branch stage2(xi, eps_tilde) returns, and
-    report its GMI at scale s, free energy minus penalty.
-
-    energy(xi, eta, eps, eps_tilde) is the postulate's free energy; a
-    combination is converged when both of its stages are. The pick is the
-    first converged combination of smallest finite free energy, else the
-    first unconverged one of smallest finite free energy; its iterations
-    are summed over every branch of both stages.
-    """
-    best: Optional[RateResult] = None
-    total_iters = 0
-    for xi, eps_t, it1, conv1 in stage1:
-        total_iters += it1
-        for eta, eps, it2, conv2 in stage2(xi, eps_t):
-            total_iters += it2
-            f = energy(xi, eta, eps, eps_t)
-            if not math.isfinite(f):
-                continue
-            conv = conv1 and conv2
-            if best is None or (conv, -f) > (best.converged, -best.free_energy):
-                best = RateResult(f - penalty, {"eta": eta, "xi": xi, "eps": eps, "eps_tilde": eps_t},
-                                  s_tilde=float(s), free_energy=f, converged=conv)
-    if best is None:
-        raise _NoUsableFixedPoint(f"no usable fixed point at s={s:g}")
-    best.iterations = total_iters
-    return best
-
-
-def _penalty_white(s_tilde: float, cfg: SystemConfig) -> float:
-    return s_tilde * (cfg.cw + cfg.r_v) / cfg.alpha
-
-
 def gmi_at_s(
     s_tilde: float,
     cfg: SystemConfig,
@@ -231,7 +188,7 @@ def gmi_at_s(
     max_iter: int = 500,
 ) -> tuple[float, RateResult]:
     """Per-stream GMI in nats at a fixed postulated noise scale s_tilde, with
-    its RateResult.
+    its RateResult, for the constellation carried to cfg's power.
 
     Runs the two-stage solve (xi, eps_tilde) then (eta, eps) and reports the
     free-energy-minimizing branch combination. Gaussian inputs solve both
@@ -240,6 +197,7 @@ def gmi_at_s(
     """
     if s_tilde <= 0:
         raise ValueError(f"s_tilde must be positive, got {s_tilde:g}")
+    constellation = at_power(constellation, cfg)
     alpha, cw, r_v = cfg.alpha, cfg.cw, cfg.r_v
     gbar = constellation.gamma_bar
 
@@ -265,9 +223,9 @@ def gmi_at_s(
             return solve_eta_eps(xi, eta_of, r_v, constellation, order, max_iter)
 
     res = _two_stage(
-        stage1, stage2,
-        lambda xi, eta, eps, eps_t: free_energy(s_tilde, xi, eta, eps, eps_t, cfg, constellation, order),
-        s_tilde, _penalty_white(s_tilde, cfg),
+        ("xi", "eps_tilde", "eta", "eps"), stage1, stage2,
+        lambda xi, eps_t, eta, eps: free_energy(s_tilde, xi, eta, eps, eps_t, cfg, constellation, order),
+        s_tilde * (cw + r_v) / alpha, float(s_tilde),
     )
     return res.rate_nats, res
 
@@ -337,14 +295,8 @@ def gmi_highsnr_gaussian(alpha: float, kappa: float) -> RateResult:
         return math.log(sg / (alpha * x)) / alpha + math.log1p(x) + k2 * x / (1.0 + x) - sg * k2 / alpha
 
     sg_star, val = maximize_scalar(h, 1.0 / k2)
-    return RateResult(
-        rate_nats=val,
-        params={"xi": xi_gaussian_closed_form(alpha, 1.0, sg_star)},
-        s_tilde=sg_star,
-        free_energy=None,
-        converged=True,
-        iterations=0,
-    )
+    return RateResult(rate_nats=val, params={"xi": xi_gaussian_closed_form(alpha, 1.0, sg_star)},
+                      s_tilde=sg_star)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +370,7 @@ def gmi_at_s_general(
     """GMI at fixed s for an arbitrary Hermitian postulated covariance: the
     two-stage solve of gmi_at_s with the matrix trace formulas, free energy
     and penalty. Gaussian inputs run the iterative stages."""
+    constellation = at_power(constellation, cfg)
 
     def traces(eps, eps_t):
         return general_aux_traces(cfg.R_w, R_tilde, s, eps, eps_t, cfg.alpha)
@@ -426,12 +379,12 @@ def gmi_at_s_general(
     rti = np.linalg.inv(R_tilde)
     penalty = s * (float(np.trace(rti @ cfg.R_w).real) + cfg.r_v * float(np.trace(rti).real)) / cfg.M
     res = _two_stage(
-        stage1,
+        ("xi", "eps_tilde", "eta", "eps"), stage1,
         lambda xi, eps_t: solve_eta_eps(xi, lambda eps: traces(eps, eps_t)[0], cfg.r_v,
                                         constellation, order, max_iter),
-        lambda xi, eta, eps, eps_t: free_energy_general(s, xi, eta, eps, eps_t, cfg, constellation,
+        lambda xi, eps_t, eta, eps: free_energy_general(s, xi, eta, eps, eps_t, cfg, constellation,
                                                         R_tilde, order),
-        s, penalty,
+        penalty, float(s),
     )
     return res.rate_nats, res
 

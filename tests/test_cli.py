@@ -362,7 +362,8 @@ def test_validate_rejects_a_lattice_above_the_limit_before_solving(tmp_path, mon
     ("validate", "--constellation", "gaussian", "--snr", "10", "--seed", "-1"),
     ("validate", "--constellation", "gaussian", "--snr", "10", "--config", "{conf}"),
     ("rate-sweep", "--constellation", "gaussian", "--snr", "4000"),
-], ids=["negative-seed", "negative-seed-from-config", "snr-overflow"])
+    ("rate-sweep", "--mode", "both", "--constellation", "gaussian,qpsk", "--snr=-4000", "--evm=-10"),
+], ids=["negative-seed", "negative-seed-from-config", "snr-overflow", "snr-underflow"])
 def test_library_rules_are_usage_errors_before_solving(tmp_path, monkeypatch, argv):
     _no_solve(monkeypatch)
     conf = tmp_path / "seed.conf"

@@ -8,6 +8,7 @@ import pytest
 from binoisy.model import (
     CONSTELLATION_KINDS,
     RateResult,
+    at_power,
     make_config,
     make_constellation,
 )
@@ -67,6 +68,7 @@ def test_config_trace_helpers_match_dense_algebra():
         dict(M=2, N=2, snr_db=math.inf),
         dict(M=2, N=2, snr_db=-math.inf),
         dict(M=2, N=2, snr_db=4000.0),  # 10^(snr/10) overflows
+        dict(M=2, N=2, snr_db=-4000.0),  # 10^(snr/10) underflows to 0
         dict(M=2, N=2, snr_db=0.0, evm_db=math.nan),
     ],
 )
@@ -105,6 +107,21 @@ def test_iq_product_split_detected_exactly_for_square_grids(kind, expect):
         re, im = con.axes
         rebuilt = np.sort_complex((re[:, None] + 1j * im[None, :]).ravel())
         assert np.allclose(rebuilt, np.sort_complex(con.points), atol=1e-12)
+
+
+def test_at_power_carries_a_constellation_to_the_config_power():
+    cfg = make_config(2, 2, 10.0)
+    for kind in ("qam16", "psk8", "gaussian"):
+        con = make_constellation(kind, cfg.gamma_bar)
+        assert at_power(con, cfg) is con
+        moved = at_power(make_constellation(kind, 1.0), cfg)
+        assert moved.kind == kind and moved.gamma_bar == cfg.gamma_bar
+        assert np.array_equal(moved.points, con.points)
+        assert (moved.axes is None) == (con.axes is None)
+        if con.axes is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(moved.axes, con.axes))
+    with pytest.raises(ValueError):
+        at_power(make_constellation("qpsk", 0.0), cfg)
 
 
 def test_custom_constellation_centered_and_scaled():

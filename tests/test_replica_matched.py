@@ -1,6 +1,7 @@
 """Matched-decoding rate via the large-system fixed point."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -164,8 +165,28 @@ def test_finite_snr_approaches_highsnr_limit():
     assert res.rate_nats < limit  # finite snr stays below the ceiling
 
 
+def count_root_work(monkeypatch):
+    """Wrap replica_matched.nearest_root: returns the list of its results and
+    a one-element list counting every call of the functions it roots."""
+    import binoisy.replica_matched as rm
+
+    results, calls = [], [0]
+    inner = rm.nearest_root
+
+    def counting(g, *args, **kwargs):
+        def counted(x):
+            calls[0] += 1
+            return g(x)
+        results.append(inner(counted, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(rm, "nearest_root", counting)
+    return results, calls
+
+
 def test_iterations_count_every_start(monkeypatch):
-    # both starts land on one branch here; the duplicate's evaluations count too
+    # both starts land on one branch here; the duplicate's evaluations count
+    # too, and so do the prime pair's
     import binoisy.replica_matched as rm
 
     etas = []
@@ -176,12 +197,41 @@ def test_iterations_count_every_start(monkeypatch):
         return inner(ctx, *args, **kwargs)
 
     monkeypatch.setattr(rm, "matched_second_moment", counting)
+    _, calls = count_root_work(monkeypatch)
     cfg = make_config(4, 4, 10.0, evm_db=-20.0)
     res = matched_mi(cfg, make_constellation("qpsk", cfg.gamma_bar))
     # each start's first evaluation is at its seed: 1e-6 and P
     for seed in (1e-6, cfg.gamma_bar + cfg.r_v):
         assert cfg.trinv_rw_plus(seed) / cfg.M in etas
-    assert res.iterations == len(etas)
+    assert res.iterations == calls[0]
+
+
+def test_gaussian_solve_reports_its_root_work(monkeypatch):
+    results, calls = count_root_work(monkeypatch)
+    cfg = make_config(4, 4, 10.0, evm_db=-20.0)
+    res = matched_mi(cfg, make_constellation("gaussian", cfg.gamma_bar))
+    assert len(results) == 2  # the prime pair, then the primary pair
+    assert res.iterations == sum(r.iterations for r in results) == calls[0] > 0
+    assert res.converged
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "qpsk"])
+def test_unconverged_prime_pair_makes_the_rate_unconverged(monkeypatch, kind):
+    import binoisy.replica_matched as rm
+
+    cfg = make_config(4, 4, 10.0, evm_db=-20.0)
+    con = make_constellation(kind, cfg.gamma_bar)
+    ref = matched_mi(cfg, con)
+    inner = rm.nearest_root
+
+    def prime_fails(g, x0, *args, **kwargs):
+        r = inner(g, x0, *args, **kwargs)
+        return replace(r, converged=False) if x0 == cfg.r_v else r
+
+    monkeypatch.setattr(rm, "nearest_root", prime_fails)
+    res = matched_mi(cfg, con)
+    assert ref.converged and not res.converged
+    assert (res.rate_nats, res.params, res.iterations) == (ref.rate_nats, ref.params, ref.iterations)
 
 
 # High-SNR, large-EVM corner that 500 damped steps per start do not solve.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from binoisy.model import make_config, make_constellation
-from binoisy.replica_matched import matched_mi
+from binoisy.replica_matched import matched_mi, matched_residuals
 from binoisy.replica_mismatched import (
     gmi,
     gmi_at_s,
@@ -140,6 +140,20 @@ def test_scale_search_propagates_errors_other_than_no_fixed_point(monkeypatch):
     cfg = anchor_cfg()
     with pytest.raises(ValueError, match="boom"):
         gmi(cfg, make_constellation("qpsk", cfg.gamma_bar))
+
+
+def test_the_configuration_owns_the_signal_power():
+    # an alphabet built at another power is carried to the config's power,
+    # as the Monte Carlo reference does: qpsk at power 1 on this 10 dB link
+    # once gave a matched rate of 2.15 bits, above log2(4)
+    cfg = make_config(2, 2, 10.0, evm_db=-20.0)
+    right, wrong = make_constellation("qpsk", cfg.gamma_bar), make_constellation("qpsk", 1.0)
+    for solve, residuals in ((matched_mi, matched_residuals), (gmi, mismatched_residuals)):
+        res = solve(cfg, wrong)
+        assert res.rate_bits == pytest.approx(solve(cfg, right).rate_bits, rel=0.0, abs=1e-12)
+        assert max(residuals(res, cfg, wrong).values()) < 1e-9
+    general = [gmi_at_s_general(0.5, cfg, con, np.eye(2))[0] for con in (wrong, right)]
+    assert general[0] == pytest.approx(general[1], rel=0.0, abs=1e-12)
 
 
 def test_distortion_orders_gmi():
