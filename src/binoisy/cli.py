@@ -186,7 +186,7 @@ _PLAN_FLAGS = [
     _DECODER,
     _Flag("--evm-lo", float, -60.0, "lower end of the EVM search bracket in dB", metavar="DB"),
     _Flag("--evm-hi", float, 0.0, "upper end of the EVM search bracket in dB", metavar="DB"),
-    _Flag("--tol-db", float, 0.002, "bisection tolerance in dB", metavar="DB"),
+    _Flag("--tol-db", float, 0.002, "width of the final EVM bracket in dB", metavar="DB"),
 ] + _LINK + _COMMON
 
 

@@ -12,9 +12,11 @@ one kernel summed over the alphabet's independent factors: the real I and Q
 PAM axes of a product grid (square QAM, BPSK), or else the complex point set
 as a single factor. The factored path is algebraically exact, not an
 approximation: the weights, marginals, and posterior means all separate when
-the point set is a product. A factor of real dimension d (1 for an axis, 2
-for complex points) enters a kernel only through d: quadrature runs on the
-line at variance var/2 or on the plane at var, the log-density normalizer is
+the point set is a product. Equal I and Q axes (square QAM) are integrated
+once and the kernel doubled, which equals the sum over both axes bit for
+bit. A factor of real dimension d (1 for an axis, 2 for complex points)
+enters a kernel only through d: quadrature runs on the line at variance
+var/2 or on the plane at var, the log-density normalizer is
 -(d/2) ln(pi var) - ln K, and the conditional distortion variance is
 (d/2) r_v / (1 + eta r_v).
 """
@@ -72,12 +74,16 @@ class DecoupledTrue:
 # per-factor kernels
 # ---------------------------------------------------------------------------
 
-def _factors(c: Constellation) -> tuple[np.ndarray, ...]:
-    """Independent factors of a discrete alphabet: the real I and Q PAM axes
-    of a product grid, else the complex point set as a single factor."""
-    if c.axes is not None:
-        return c.axes
-    return (np.asarray(c.points, dtype=complex),)
+def _factors(c: Constellation) -> tuple[tuple[np.ndarray, int], ...]:
+    """Distinct independent factors of a discrete alphabet, each with its
+    multiplicity: a square grid's one PAM axis twice, both axes of a grid
+    whose I and Q axes differ, else the complex point set once."""
+    if c.axes is None:
+        return ((np.asarray(c.points, dtype=complex), 1),)
+    i_axis, q_axis = c.axes
+    if np.array_equal(i_axis, q_axis):
+        return ((i_axis, 2),)
+    return ((i_axis, 1), (q_axis, 1))
 
 
 def _weights(z: np.ndarray, alph: np.ndarray, var: float):
@@ -170,7 +176,7 @@ def postulated_mmse(ctx: DecoupledPostulated, order: int = DEFAULT_ORDER) -> flo
     c = ctx.constellation
     if c.is_gaussian:
         return c.gamma_bar / (1.0 + ctx.xi * c.gamma_bar)
-    return sum(_mmse(a, 1.0 / ctx.xi, order) for a in _factors(c))
+    return sum(m * _mmse(a, 1.0 / ctx.xi, order) for a, m in _factors(c))
 
 
 def true_mse(true_ctx: DecoupledTrue, post_ctx: DecoupledPostulated, order: int = DEFAULT_ORDER) -> float:
@@ -183,7 +189,7 @@ def true_mse(true_ctx: DecoupledTrue, post_ctx: DecoupledPostulated, order: int 
     if c.is_gaussian:
         g = xi * c.gamma_bar
         return (c.gamma_bar + r_v) / (1.0 + g) ** 2 + (g / (1.0 + g)) ** 2 / eta
-    return sum(_true_mse(a, eta, r_v, xi, order) for a in _factors(c))
+    return sum(m * _true_mse(a, eta, r_v, xi, order) for a, m in _factors(c))
 
 
 def cross_entropy(true_ctx: DecoupledTrue, post_ctx: DecoupledPostulated, order: int = DEFAULT_ORDER) -> float:
@@ -196,7 +202,7 @@ def cross_entropy(true_ctx: DecoupledTrue, post_ctx: DecoupledPostulated, order:
         return -math.log(math.pi * var_q) - var_p / var_q
     var_p = 1.0 / true_ctx.eta + true_ctx.r_v
     var_q = 1.0 / post_ctx.xi
-    return sum(_cross_entropy(a, var_p, var_q, order) for a in _factors(c))
+    return sum(m * _cross_entropy(a, var_p, var_q, order) for a, m in _factors(c))
 
 
 def matched_second_moment(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> float:
@@ -206,7 +212,7 @@ def matched_second_moment(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> flo
     if c.is_gaussian:
         P = c.gamma_bar + ctx.r_v
         return ctx.eta * P * P / (1.0 + ctx.eta * P)
-    return sum(_matched_sq(a, ctx.eta, ctx.r_v, order) for a in _factors(c))
+    return sum(m * _matched_sq(a, ctx.eta, ctx.r_v, order) for a, m in _factors(c))
 
 
 def output_entropy(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> float:
@@ -215,7 +221,7 @@ def output_entropy(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> float:
     var = 1.0 / ctx.eta + ctx.r_v
     if c.is_gaussian:
         return math.log(math.pi * math.e * (c.gamma_bar + var))
-    return -sum(_cross_entropy(a, var, var, order) for a in _factors(c))
+    return -sum(m * _cross_entropy(a, var, var, order) for a, m in _factors(c))
 
 
 def matched_scalar_mi(ctx: DecoupledTrue, order: int = DEFAULT_ORDER) -> float:

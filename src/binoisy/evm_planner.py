@@ -2,9 +2,9 @@
 absorb before the achievable rate drops by more than a given fraction.
 
 The planner answers the inverse question of the rate solvers. Rate loss is
-monotone in the error vector magnitude, so the largest admissible EVM is found
-by bisection on the dB axis; the returned value is the certified-feasible
-lower endpoint of the final bracket.
+monotone in the error vector magnitude, so the largest admissible EVM is the
+root of loss minus budget on the dB axis, found by Brent's method; the
+returned value is the certified-feasible lower endpoint of the final bracket.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import make_config, make_constellation
-from .numerics import DEFAULT_ORDER
+from .numerics import DEFAULT_ORDER, _brent, _Counted
 from .replica_matched import matched_mi
 from .replica_mismatched import gmi
 
 __all__ = ["LossQuery", "rate_loss", "check_search", "max_evm_for_loss", "rule_of_thumb_evm", "DECODERS"]
 
 DECODERS = ("matched", "mismatched")
+_MAX_SEARCH_SOLVES = 200  # rate solves one EVM search may take after its end points
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,15 @@ def max_evm_for_loss(
 
     Returns hi_db when even the loosest hardware meets the budget and -inf
     when the budget is infeasible everywhere in [lo_db, hi_db]; -inf is an
-    answer, not an error. Otherwise bisect until the bracket is at most
-    tol_db wide or no float lies strictly inside it, and return the feasible
-    end of the final bracket, so the reported EVM is guaranteed within
-    budget up to the rate solver's own accuracy. Raises ValueError for a
-    search that check_search rejects and RuntimeError when a rate solve
-    behind the search does not converge.
+    answer, not an error. Otherwise root loss minus budget by Brent's method
+    until the bracket is narrower than tol_db (plus 4 ulp of the EVM, which
+    ends a search whose tol_db lies below the float spacing), and return the
+    largest EVM evaluated as feasible. The loss is monotone, so that is the
+    feasible end of the final bracket, and the reported EVM is guaranteed
+    within budget up to the rate solver's own accuracy. Raises ValueError
+    for a search that check_search rejects and RuntimeError when a rate
+    solve behind the search does not converge or the search does not end
+    within 200 solves.
     """
     check_search(loss_budget, lo_db, hi_db, tol_db)
     ideal = _rate_nats(query, snr_db, -math.inf)
@@ -114,22 +118,26 @@ def max_evm_for_loss(
     if loss_lo > loss_hi + 1e-12:
         raise RuntimeError(
             f"rate loss is not monotone on [{lo_db:g}, {hi_db:g}] dB "
-            f"({loss_lo:g} > {loss_hi:g}); cannot bisect"
+            f"({loss_lo:g} > {loss_hi:g}); cannot search it"
         )
     if loss_hi <= loss_budget:
         return hi_db
     if loss_lo > loss_budget:
         return -math.inf
-    lo, hi = lo_db, hi_db
-    while hi - lo > tol_db:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # tol_db below the float spacing of the bracket
-            break
-        if loss(mid) <= loss_budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    feasible = lo_db
+
+    def excess(evm_db: float) -> float:
+        nonlocal feasible
+        over = loss(evm_db) - loss_budget
+        if over <= 0.0:
+            feasible = max(feasible, evm_db)
+        return over
+
+    res = _brent(_Counted(excess), hi_db, lo_db, loss_hi - loss_budget, loss_lo - loss_budget,
+                 _MAX_SEARCH_SOLVES, tol_db)
+    if not res.converged:
+        raise RuntimeError(f"EVM search did not narrow to {tol_db:g} dB within {_MAX_SEARCH_SOLVES} rate solves")
+    return feasible
 
 
 def rule_of_thumb_evm(snr_db: float) -> float:

@@ -5,16 +5,18 @@ multi-start policy that turns several solver runs into distinct solution
 branches, and seeded scalar maximization.
 
 The matched primary fixed point and the Gaussian pairs are rooted by
-nearest_root (tolerance 1e-14 + 4 ulp on the unknown); the mismatched
-stages still run damped iteration under a fixed policy: damping 0.5, step
-tolerance 1e-10 and every component clamped nonnegative. The scale searches
-(maximize_scalar) evaluate 31 log-spaced seeds from 1e-3 to 1e3 times a scale
-the caller derives from the noise level, 1/(tr(R_w)/N + r_v) for the white
-GMI, then refine by golden section to a width of 1e-6 on the log axis. None
-of these is a parameter; only the per-start budget max_iter (the CLI's
---max-iter) reaches the solvers from outside. It counts map evaluations for
-every solve: a root-solver step and a damped iteration each evaluate the map
-once (the Gaussian pairs keep the default budget)."""
+nearest_root (tolerance 1e-14 + 4 ulp on the unknown), and the EVM planner
+roots its loss boundary by the same Brent's method to its caller's tol_db
+(the CLI's --tol-db) + 4 ulp; the mismatched stages still run damped
+iteration under a fixed policy: damping 0.5, step tolerance 1e-10 and every
+component clamped nonnegative. The scale searches (maximize_scalar)
+evaluate 31 log-spaced seeds from 1e-3 to 1e3 times a scale the caller
+derives from the noise level, 1/(tr(R_w)/N + r_v) for the white GMI, then
+refine by golden section to a width of 1e-6 on the log axis. None of these
+is a parameter; only the planner's tol_db and the per-start budget max_iter
+(the CLI's --max-iter) reach the solvers from outside. max_iter counts map
+evaluations for every solve: a root-solver step and a damped iteration each
+evaluate the map once (the Gaussian pairs keep the default budget)."""
 
 from __future__ import annotations
 
@@ -165,11 +167,11 @@ class _Counted:
         return gx
 
 
-def _brent(g: _Counted, a: float, b: float, ga: float, gb: float, max_eval: int) -> FixedPointResult:
+def _brent(g: _Counted, a: float, b: float, ga: float, gb: float, max_eval: int, xtol: float) -> FixedPointResult:
     """Brent's method on [a, b] given g(a) != 0 and g(b) of the opposite sign
     or zero: inverse quadratic or secant steps when they stay well inside the
     bracket (and their denominator has not underflowed to 0), bisection
-    otherwise. Stops when the bracket is below 1e-14 + 4 ulp or g is exactly
+    otherwise. Stops when the bracket is below xtol + 4 ulp or g is exactly
     zero, or after max_eval more calls of g."""
     if gb == 0.0:
         return FixedPointResult(np.array([b]), g.calls, 0.0, True)
@@ -185,7 +187,7 @@ def _brent(g: _Counted, a: float, b: float, ga: float, gb: float, max_eval: int)
         if abs(gblk) < abs(gcur):
             pre, cur, blk = cur, blk, cur
             gpre, gcur, gblk = gcur, gblk, gcur
-        delta = 0.5 * (_ROOT_XTOL + _ROOT_RTOL * abs(cur))
+        delta = 0.5 * (xtol + _ROOT_RTOL * abs(cur))
         half = 0.5 * (blk - cur)
         if gcur == 0.0 or abs(half) < delta:
             return FixedPointResult(np.array([cur]), g.calls, abs(gcur), True)
@@ -238,7 +240,7 @@ def nearest_root(
             nxt = 0.0
         gn = f(nxt)
         if (gn >= 0.0) if up else (gn <= 0.0):
-            return _brent(f, x, nxt, gx, gn, max_eval - f.calls)
+            return _brent(f, x, nxt, gx, gn, max_eval - f.calls, _ROOT_XTOL)
         if nxt == 0.0:
             return FixedPointResult(np.array([0.0]), f.calls, 0.0, True)
         x, gx = nxt, gn

@@ -181,7 +181,7 @@ def test_criterion_09_evm_planner_bound():
         prev = evm
         details.append(f"{evm:.2f}")
     report(9, ok, f"5% max-EVM curve [{', '.join(details)}] dB above -0.7*snr-13, "
-                  f"nonincreasing, each bisection < 30s")
+                  f"nonincreasing, each search < 30s")
     assert ok
 
 

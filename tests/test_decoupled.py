@@ -49,6 +49,35 @@ FROZEN = {
 }
 
 
+# Square grids integrate their one PAM axis once and double it. float.hex of
+# every quantity, frozen from the sum over both equal axes, so the saving is
+# bit for bit. Contexts are (gamma_bar, eta, r_v, xi); values are in the order
+# of SQUARE_QUANTITIES.
+SQUARE_CONTEXTS = ((2.0, 0.9, 0.3, 0.7), (1.3, 12.0, 0.02, 20.0))
+SQUARE_QUANTITIES = ("postulated_mmse", "true_mse", "cross_entropy",
+                     "matched_second_moment", "output_entropy", "matched_scalar_mi")
+SQUARE_HEX = {
+    "qpsk": (
+        ("0x1.5dea97978226cp-1", "0x1.60811d8a983c9p-1", "-0x1.a9b38e1a90fc9p+1",
+         "0x1.a51aa561b0b20p+0", "0x1.a9b2524612c72p+1", "0x1.135eb7dca1312p+0"),
+        ("0x1.42cb930400000p-21", "0x1.5236c0b4405efp-6", "-0x1.99b4ed40a52b6p+0",
+         "0x1.4da7ae46393eap+0", "0x1.4295b56131f9ep+0", "0x1.99ab886d2badbp+0"),
+    ),
+    "qam16": (
+        ("0x1.9489b65c89890p-1", "0x1.80d517ca6725fp-1", "-0x1.ada3e6fe7cbbep+1",
+         "0x1.93eafdc286c62p+0", "0x1.ada32822123b7p+1", "0x1.1b406394a019cp+0"),
+        ("0x1.b5fed7a878900p-7", "0x1.11b240f0b2774p-4", "-0x1.36c4335d0b69ap+1",
+         "0x1.42eed9e0c5b92p+0", "0x1.1c471d7e11cecp+1", "0x1.47d207040ea8ap+1"),
+    ),
+    "qam64": (
+        ("0x1.9960e8051d5f4p-1", "0x1.83b3e485b5986p-1", "-0x1.ae0add5478872p+1",
+         "0x1.92674efd6b3e6p+0", "0x1.ae0a2d0086564p+1", "0x1.1c0e6d51884f6p+0"),
+        ("0x1.61d536effafc0p-5", "0x1.2c9119c848514p-4", "-0x1.2fb953c53f378p+1",
+         "0x1.3f630434ddfccp+0", "0x1.2a5f006d8c078p+1", "0x1.55e9e9f388e16p+1"),
+    ),
+}
+
+
 def qpsk_contexts():
     con = make_constellation("qpsk", 2.0)
     return DecoupledTrue(eta=0.9, r_v=0.3, constellation=con), DecoupledPostulated(xi=0.7, constellation=con)
@@ -73,6 +102,19 @@ def test_frozen_scalar_oracles():
         }
         for name, value in want.items():
             assert got[name] == pytest.approx(value, rel=1e-12), (kind, name)
+
+
+@pytest.mark.parametrize("kind", sorted(SQUARE_HEX))
+def test_square_grids_are_bit_frozen(kind):
+    for (gb, eta, r_v, xi), want in zip(SQUARE_CONTEXTS, SQUARE_HEX[kind]):
+        con = make_constellation(kind, gb)
+        assert np.array_equal(*con.axes)
+        true_ctx = DecoupledTrue(eta=eta, r_v=r_v, constellation=con)
+        post_ctx = DecoupledPostulated(xi=xi, constellation=con)
+        got = (postulated_mmse(post_ctx), true_mse(true_ctx, post_ctx), cross_entropy(true_ctx, post_ctx),
+               matched_second_moment(true_ctx), output_entropy(true_ctx), matched_scalar_mi(true_ctx))
+        for name, value, hex_value in zip(SQUARE_QUANTITIES, got, want):
+            assert value.hex() == hex_value, (kind, gb, name)
 
 
 def test_bpsk_posterior_mean_is_tanh():
@@ -131,8 +173,11 @@ def test_gibbs_inequality_and_equality_case():
 
 
 def test_product_axes_path_equals_generic_quadrature():
-    for kind in ("bpsk", "qpsk", "qam16"):
-        con = make_constellation(kind, 1.7)
+    # the rectangular grid {+-1, +-3} x {+-1} has unequal I and Q axes, which
+    # must each be integrated, never merged into one doubled axis
+    rect = make_constellation("custom", 1.7, np.array([a + 1j * b for a in (-3, -1, 1, 3) for b in (-1, 1)]))
+    assert rect.axes is not None and not np.array_equal(*rect.axes)
+    for con in [make_constellation(kind, 1.7) for kind in ("bpsk", "qpsk", "qam16")] + [rect]:
         assert con.axes is not None
         flat = Constellation(kind="custom", gamma_bar=con.gamma_bar,
                              points=con.points, axes=None)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from binoisy import evm_planner
 from binoisy.evm_planner import (
     LossQuery,
     max_evm_for_loss,
@@ -37,9 +38,37 @@ def test_boundary_hits_the_budget():
     q = gaussian_query()
     evm = max_evm_for_loss(q, 10.0, 0.05)
     # certified side: the returned point keeps the loss within budget, and
-    # a half-dB-worse transmitter violates it
-    assert rate_loss(q, 10.0, evm) <= 0.05 + 1e-9
-    assert rate_loss(q, 10.0, evm + 0.5) > 0.05
+    # a transmitter worse by the default tol_db, 0.002 dB, violates it
+    assert rate_loss(q, 10.0, evm) <= 0.05 < rate_loss(q, 10.0, evm + 0.002)
+
+
+def count_rate_solves(monkeypatch):
+    calls = []
+    solve = evm_planner._rate_nats
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(evm_planner, "_rate_nats", counted)
+    return calls
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0])
+def test_search_takes_fewer_solves_than_bisection(monkeypatch, snr_db):
+    # bisection of [-60, 0] dB to 0.002 dB took 15 solves after the ideal
+    # rate and the two end points, 18 in all
+    calls = count_rate_solves(monkeypatch)
+    max_evm_for_loss(gaussian_query(), snr_db, 0.05)
+    assert len(calls) <= 13
+
+
+def test_search_that_runs_out_of_solves_is_an_error(monkeypatch):
+    monkeypatch.setattr(evm_planner, "_MAX_SEARCH_SOLVES", 2)
+    calls = count_rate_solves(monkeypatch)
+    with pytest.raises(RuntimeError, match="EVM search did not narrow"):
+        max_evm_for_loss(gaussian_query(), 10.0, 0.05)
+    # the ideal rate, both end points and the search's budget
+    assert len(calls) == 5
 
 
 def test_planner_beats_rule_of_thumb_and_is_monotone():
@@ -85,7 +114,7 @@ def test_discrete_constellation_budget():
     q = LossQuery(M=4, N=4, constellation="qpsk", decoder="matched")
     evm = max_evm_for_loss(q, 10.0, 0.05, tol_db=0.05)
     assert -40.0 < evm < 0.0
-    assert rate_loss(q, 10.0, evm) <= 0.05 + 1e-9
+    assert rate_loss(q, 10.0, evm) <= 0.05 < rate_loss(q, 10.0, evm + 0.05)
 
 
 def test_validation_errors():
