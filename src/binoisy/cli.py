@@ -17,7 +17,7 @@ a bad grid or flag value, or an output path that cannot be written. The
 point builders check a request by building what the library would build
 (every configuration, the Monte Carlo settings, the evm-plan search), so
 the library's ValueError is the usage error; only rules of the front end
-itself, such as --max-iter of at least 1, are written here.
+itself, such as the highsnr mode's Gaussian-only inputs, are written here.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .replica_mismatched import gmi, gmi_highsnr_gaussian
 __all__ = ["main"]
 
 _LN2 = math.log(2.0)
+_MAX_GRID = 100_000  # values one START:STOP:STEP range may expand to
 _KINDS = tuple(k for k in CONSTELLATION_KINDS if k != "custom")
 
 
@@ -74,12 +75,16 @@ def _parse_snr(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise argparse.ArgumentTypeError(f"non-numeric range {text!r}") from None
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise argparse.ArgumentTypeError(f"range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise argparse.ArgumentTypeError(f"range step must be positive, got {step:g}")
         if stop < start:
             raise argparse.ArgumentTypeError(f"range stop {stop:g} is below start {start:g}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [round(start + i * step, 12) for i in range(count)]
+        span = (stop - start) / step + 1e-9  # inf when the quotient overflows
+        if not span < _MAX_GRID:
+            raise argparse.ArgumentTypeError(f"range {text!r} has more than {_MAX_GRID} values")
+        return [round(start + i * step, 12) for i in range(int(span) + 1)]
     return _parse_float_list(text)
 
 
@@ -162,8 +167,6 @@ _LINK = [
 # replica solves at given EVMs (rate-sweep and validate)
 _SOLVE = [
     _Flag("--evm", _parse_float_list, [-math.inf], "comma list of EVM values in dB (-inf for ideal)", metavar="LIST"),
-    _Flag("--max-iter", int, 500, "budget of map evaluations per solver start (a root-solver step or a damped "
-          "iteration evaluates the map once)", metavar="K"),
     _Flag("--nats", None, False, "report rates in nats instead of bits"),
 ]
 
@@ -335,14 +338,11 @@ def _to_unit(rate_nats: float, args) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_shared(args, evms: list[float]) -> None:
-    """Check the flag groups that subcommands share: the quadrature order,
-    the configuration of every (SNR, EVM) of the request, and --max-iter
-    where the subcommand has it."""
+    """Check the flag groups that subcommands share: the quadrature order
+    and the configuration of every (SNR, EVM) of the request."""
     check_order(args.order)
     for snr, evm in product(args.snr, evms):
         make_config(args.M, args.N, snr, evm)
-    if "max_iter" in args and args.max_iter < 1:
-        raise UsageError(f"--max-iter must be positive, got {args.max_iter}")
 
 
 def _decoders(choice: str) -> list[str]:
@@ -413,7 +413,7 @@ def _replica(args, row: dict, matched: bool):
     """(cfg, constellation, RateResult) of the replica solve at a row's point."""
     cfg = make_config(args.M, args.N, row["snr_db"], row["evm_db"])
     con = make_constellation(row["constellation"], cfg.gamma_bar)
-    res = (matched_mi if matched else gmi)(cfg, con, order=args.order, max_iter=args.max_iter)
+    res = (matched_mi if matched else gmi)(cfg, con, order=args.order)
     return cfg, con, res
 
 

@@ -12,11 +12,11 @@ iteration under a fixed policy: damping 0.5, step tolerance 1e-10 and every
 component clamped nonnegative. The scale searches (maximize_scalar)
 evaluate 31 log-spaced seeds from 1e-3 to 1e3 times a scale the caller
 derives from the noise level, 1/(tr(R_w)/N + r_v) for the white GMI, then
-refine by golden section to a width of 1e-6 on the log axis. None of these
-is a parameter; only the planner's tol_db and the per-start budget max_iter
-(the CLI's --max-iter) reach the solvers from outside. max_iter counts map
-evaluations for every solve: a root-solver step and a damped iteration each
-evaluate the map once (the Gaussian pairs keep the default budget)."""
+refine by golden section to a width of 1e-6 on the log axis. Every solver
+start, whether a root solve or a damped iteration and from whichever entry
+point, has one fixed budget of 500 map evaluations: a root-solver step and a
+damped iteration each evaluate the map once. None of these is a parameter;
+only the planner's tol_db reaches the solvers from outside."""
 
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ _WALK_FACTOR = 10.0  # geometric step of the bracket search
 _DAMPING = 0.5  # damped iteration: weight of the new map value ...
 _STEP_TOL = 1e-10  # ... and the step at which it has converged
 _REFINE_TOL = 1e-6  # golden-section bracket width on the log axis
+_MAX_EVAL = 500  # map evaluations per solver start
 
 
 class FixedPointError(RuntimeError):
@@ -129,9 +130,9 @@ class FixedPointResult:
 def damped_fixed_point(
     F: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
-    max_iter: int = 500,
 ) -> FixedPointResult:
-    """Iterate x <- 0.5 x + 0.5 F(x) until the step is at most 1e-10.
+    """Iterate x <- 0.5 x + 0.5 F(x) until the step is at most 1e-10, for
+    at most 500 iterations.
 
     Components are clamped nonnegative (every replica unknown is a
     variance-like quantity). NaN/inf from the map aborts with FixedPointError
@@ -139,7 +140,7 @@ def damped_fixed_point(
     """
     x = np.maximum(np.atleast_1d(np.asarray(x0, dtype=float)), 0.0)
     step = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_EVAL + 1):
         fx = np.atleast_1d(np.asarray(F(x), dtype=float))
         if not np.all(np.isfinite(fx)):
             raise FixedPointError(f"fixed-point map returned non-finite value {fx} at x={x} (iteration {it})")
@@ -149,7 +150,7 @@ def damped_fixed_point(
         x = x_new
         if step <= _STEP_TOL:
             return FixedPointResult(solution=x, iterations=it, residual=step, converged=True)
-    return FixedPointResult(solution=x, iterations=max_iter, residual=step, converged=False)
+    return FixedPointResult(solution=x, iterations=_MAX_EVAL, residual=step, converged=False)
 
 
 class _Counted:
@@ -215,7 +216,6 @@ def _brent(g: _Counted, a: float, b: float, ga: float, gb: float, max_eval: int,
 def nearest_root(
     g: Callable[[float], float],
     x0: float,
-    max_eval: int = 500,
 ) -> FixedPointResult:
     """Root of g(x) = x - F(x) that damped iteration of an increasing map F
     reaches from x0 > 0: the nearest root in the direction of -g(x0), as
@@ -224,23 +224,23 @@ def nearest_root(
     Steps geometrically (x10 up, /10 down) from x0 until g changes sign,
     then roots inside that bracket by Brent's method. x is a nonnegative
     unknown: a downward walk ends at 0, and g(0) > 0 clamps the root to 0.
-    iterations counts every call of g over the walk and the root, and
-    max_eval bounds that count; running out returns the best point so far
-    with converged=False. NaN/inf from g raises FixedPointError."""
+    iterations counts every call of g over the walk and the root, at most
+    500; running out returns the best point so far with converged=False.
+    NaN/inf from g raises FixedPointError."""
     if not x0 > 0.0:
         raise ValueError(f"start must be positive, got {x0:g}")
     f = _Counted(g)
     x, gx = x0, f(x0)
     up = gx < 0.0
     while gx != 0.0:
-        if f.calls >= max_eval:
+        if f.calls >= _MAX_EVAL:
             return FixedPointResult(np.array([x]), f.calls, abs(gx), False)
         nxt = x * _WALK_FACTOR if up else x / _WALK_FACTOR
         if not up and nxt < _ROOT_XTOL:
             nxt = 0.0
         gn = f(nxt)
         if (gn >= 0.0) if up else (gn <= 0.0):
-            return _brent(f, x, nxt, gx, gn, max_eval - f.calls, _ROOT_XTOL)
+            return _brent(f, x, nxt, gx, gn, _MAX_EVAL - f.calls, _ROOT_XTOL)
         if nxt == 0.0:
             return FixedPointResult(np.array([0.0]), f.calls, 0.0, True)
         x, gx = nxt, gn

@@ -29,7 +29,7 @@ __all__ = [
     "matched_mi_highsnr",
 ]
 
-_EPS_SEED_FLOOR = 1e-6
+_EPS_SEED_FLOOR = 1e-6  # low start of the error unknown; the high start is the prior power
 
 
 def matched_residuals(res: RateResult, cfg: SystemConfig, constellation: Constellation,
@@ -82,7 +82,6 @@ def solve_matched_primary(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    max_iter: int = 500,
 ) -> list[tuple[float, float, int, bool]]:
     """Solve eta = tr((R_w + eps I)^-1)/M jointly with
     eps = gamma_bar + r_v - E|<chi>|^2.
@@ -92,7 +91,7 @@ def solve_matched_primary(
     alphabets the right-hand side is increasing in eps, so from each
     multi-start seed the root of eps - rhs(eps) nearest in the direction the
     damped iteration would move is bracketed and rooted (numerics.nearest_root,
-    max_iter evaluations per seed); bistable regions give two branches.
+    at most 500 evaluations per seed); bistable regions give two branches.
     iterations counts evaluations of the map.
     """
     M, P = cfg.M, cfg.gamma_bar + cfg.r_v
@@ -104,7 +103,7 @@ def solve_matched_primary(
         ctx = DecoupledTrue(eta=eta, r_v=cfg.r_v, constellation=constellation)
         return eps - (P - matched_second_moment(ctx, order))
 
-    found = multi_start(lambda x0: nearest_root(g, x0, max_eval=max_iter), (_EPS_SEED_FLOOR, P))
+    found = multi_start(lambda x0: nearest_root(g, x0), (_EPS_SEED_FLOOR, P))
     return [(cfg.trinv_rw_plus(float(r.solution[0])) / M, float(r.solution[0]), r.iterations, r.converged)
             for r in found]
 
@@ -157,7 +156,6 @@ def matched_mi(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    max_iter: int = 500,
 ) -> RateResult:
     """Per-stream mutual information in nats under matched decoding, with
     the constellation carried to the configuration's power (model.at_power).
@@ -171,7 +169,7 @@ def matched_mi(
     constellation = at_power(constellation, cfg)
     return replace(_two_stage(
         ("eta_prime", "eps_prime", "eta", "eps"), [_solve_gaussian_pair(cfg, cfg.r_v)],
-        lambda eta_p, eps_p: solve_matched_primary(cfg, constellation, order, max_iter),
+        lambda eta_p, eps_p: solve_matched_primary(cfg, constellation, order),
         lambda *aux: _mi_from_branch(cfg, constellation, order, *aux),
     ), free_energy=None)
 

@@ -33,7 +33,7 @@ from .decoupled import (
 )
 from .model import Constellation, RateResult, SystemConfig, at_power, hermitian_pd_eigvals
 from .numerics import DEFAULT_ORDER, damped_fixed_point, maximize_scalar, multi_start
-from .replica_matched import _NoUsableFixedPoint, _two_stage, matched_mi
+from .replica_matched import _EPS_SEED_FLOOR, _NoUsableFixedPoint, _two_stage, matched_mi
 
 __all__ = [
     "mismatched_residuals",
@@ -60,7 +60,6 @@ def _rate_ceiling(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int,
-    max_iter: int = 500,
 ) -> float:
     """Matched-decoder rate used to screen the postulated-scale sweep.
 
@@ -74,7 +73,7 @@ def _rate_ceiling(
     """
     if constellation.is_gaussian:
         return math.inf
-    ceiling = matched_mi(cfg, constellation, order, max_iter=max_iter)
+    ceiling = matched_mi(cfg, constellation, order)
     if not ceiling.converged:
         return math.inf
     return ceiling.rate_nats + _CEILING_TOL
@@ -115,7 +114,6 @@ def solve_xi_discrete(
     xi_of: Callable[[float], float],
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    max_iter: int = 500,
 ) -> list[tuple[float, float, int, bool]]:
     """Jointly solve xi = xi_of(eps_tilde) with eps_tilde the postulated MMSE
     at xi; xi_of is the postulate's trace formula, s_tilde/(alpha (1 +
@@ -134,7 +132,7 @@ def solve_xi_discrete(
         return np.array([xi_of(et), postulated_mmse(post, order)])
 
     starts = [[xi_of(et0), et0] for et0 in (0.0, constellation.gamma_bar)]
-    found = multi_start(lambda x0: damped_fixed_point(F, x0, max_iter=max_iter), starts)
+    found = multi_start(lambda x0: damped_fixed_point(F, x0), starts)
     return [(float(r.solution[0]), float(r.solution[1]), r.iterations, r.converged) for r in found]
 
 
@@ -144,7 +142,6 @@ def solve_eta_eps(
     r_v: float,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    max_iter: int = 500,
 ) -> list[tuple[float, float, int, bool]]:
     """Solve eta = eta_of(eps) with eps the true mean-square error of the
     xi-denoiser under transmit distortion r_v, for the already-solved
@@ -159,8 +156,8 @@ def solve_eta_eps(
         true = DecoupledTrue(eta=eta_of(float(x[0])), r_v=r_v, constellation=constellation)
         return np.array([true_mse(true, post, order)])
 
-    found = multi_start(lambda x0: damped_fixed_point(F, x0, max_iter=max_iter),
-                        ([1e-6], [constellation.gamma_bar + r_v]))
+    found = multi_start(lambda x0: damped_fixed_point(F, x0),
+                        ([_EPS_SEED_FLOOR], [constellation.gamma_bar + r_v]))
     return [(eta_of(float(r.solution[0])), float(r.solution[0]), r.iterations, r.converged) for r in found]
 
 
@@ -185,7 +182,6 @@ def gmi_at_s(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    max_iter: int = 500,
 ) -> tuple[float, RateResult]:
     """Per-stream GMI in nats at a fixed postulated noise scale s_tilde, with
     its RateResult, for the constellation carried to cfg's power.
@@ -217,10 +213,10 @@ def gmi_at_s(
             return [(eta_of(eps), eps, 0, True)]
     else:
         stage1 = solve_xi_discrete(lambda et: s_tilde / (alpha * (1.0 + s_tilde * et)),
-                                   constellation, order, max_iter)
+                                   constellation, order)
 
         def stage2(xi, eps_t):
-            return solve_eta_eps(xi, eta_of, r_v, constellation, order, max_iter)
+            return solve_eta_eps(xi, eta_of, r_v, constellation, order)
 
     res = _two_stage(
         ("xi", "eps_tilde", "eta", "eps"), stage1, stage2,
@@ -236,7 +232,6 @@ def _scale_search(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int,
-    max_iter: int = 500,
 ) -> RateResult:
     """Supremum of at_s(s) -> (value, record) over the postulated scale s,
     seeded around scale.
@@ -247,7 +242,7 @@ def _scale_search(
     """
     cache: dict[float, RateResult] = {}
     iterations = 0
-    ceiling = _rate_ceiling(cfg, constellation, order, max_iter)
+    ceiling = _rate_ceiling(cfg, constellation, order)
 
     def objective(s):
         nonlocal iterations
@@ -271,11 +266,10 @@ def gmi(
     cfg: SystemConfig,
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
-    max_iter: int = 500,
 ) -> RateResult:
     """Per-stream GMI in nats, supremum over the postulated noise scale."""
-    return _scale_search(lambda s: gmi_at_s(s, cfg, constellation, order, max_iter),
-                         1.0 / (cfg.cw + cfg.r_v), cfg, constellation, order, max_iter)
+    return _scale_search(lambda s: gmi_at_s(s, cfg, constellation, order),
+                         1.0 / (cfg.cw + cfg.r_v), cfg, constellation, order)
 
 
 def gmi_highsnr_gaussian(alpha: float, kappa: float) -> RateResult:
@@ -365,7 +359,6 @@ def gmi_at_s_general(
     constellation: Constellation,
     R_tilde: np.ndarray,
     order: int = DEFAULT_ORDER,
-    max_iter: int = 500,
 ) -> tuple[float, RateResult]:
     """GMI at fixed s for an arbitrary Hermitian postulated covariance: the
     two-stage solve of gmi_at_s with the matrix trace formulas, free energy
@@ -375,13 +368,13 @@ def gmi_at_s_general(
     def traces(eps, eps_t):
         return general_aux_traces(cfg.R_w, R_tilde, s, eps, eps_t, cfg.alpha)
 
-    stage1 = solve_xi_discrete(lambda et: traces(0.0, et)[1], constellation, order, max_iter)
+    stage1 = solve_xi_discrete(lambda et: traces(0.0, et)[1], constellation, order)
     rti = np.linalg.inv(R_tilde)
     penalty = s * (float(np.trace(rti @ cfg.R_w).real) + cfg.r_v * float(np.trace(rti).real)) / cfg.M
     res = _two_stage(
         ("xi", "eps_tilde", "eta", "eps"), stage1,
         lambda xi, eps_t: solve_eta_eps(xi, lambda eps: traces(eps, eps_t)[0], cfg.r_v,
-                                        constellation, order, max_iter),
+                                        constellation, order),
         lambda xi, eps_t, eta, eps: free_energy_general(s, xi, eta, eps, eps_t, cfg, constellation,
                                                         R_tilde, order),
         penalty, float(s),

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 import binoisy.cli
+import binoisy.numerics
 from binoisy.cli import _build_parser, _dispatch, _parse_snr, _point_seed, _validate_points, main
 from binoisy.numerics import _MAX_ORDER
 
@@ -30,10 +31,14 @@ def test_snr_grid_parser():
     assert _parse_snr("1,2.5,4") == [1.0, 2.5, 4.0]
     # a grid whose span is an exact multiple of the step includes the stop
     assert _parse_snr("0:1:0.1")[-1] == 1.0
+    # the largest range accepted
+    assert len(_parse_snr("1:100000:1")) == 100000
 
 
 def test_bad_grids_exit_with_usage_error():
-    for bad in ("5:0:5", "0:10:0", "0:10:-1", "abc"):
+    # a range must be finite and expand to at most 100000 values before
+    # anything is built from it
+    for bad in ("5:0:5", "0:10:0", "0:10:-1", "abc", "0:inf:1", "-inf:0:1", "0:1e12:1", "0:10:1e-300"):
         with pytest.raises(SystemExit) as err:
             main(["rate-sweep", "--snr", bad])
         assert err.value.code == 2
@@ -195,9 +200,10 @@ def test_config_file_sets_the_link_shape(tmp_path, capsys):
     assert expected != default  # alpha = 1/2, not the default 1
 
 
-def test_nonconvergence_exit_code_and_allow_partial(tmp_path):
+def test_nonconvergence_exit_code_and_allow_partial(tmp_path, monkeypatch):
+    monkeypatch.setattr(binoisy.numerics, "_MAX_EVAL", 2)
     args = ("rate-sweep", "--mode", "matched", "--constellation", "qpsk",
-            "--snr", "10", "--evm", "-10", "--max-iter", "2")
+            "--snr", "10", "--evm", "-10")
     code, _ = run(tmp_path, *args)
     assert code == 1
     code, out = run(tmp_path, *args, "--allow-partial", name="p.csv")
@@ -205,9 +211,29 @@ def test_nonconvergence_exit_code_and_allow_partial(tmp_path):
     assert read_rows(out)[0]["converged"] == "false"
 
 
+def test_one_solver_budget_governs_the_planner(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(binoisy.numerics, "_MAX_EVAL", 2)
+    code, out = run(tmp_path, "evm-plan", "--constellation", "qpsk", "--snr", "10")
+    assert code == 1
+    (row,) = read_rows(out)
+    assert row["converged"] == "false" and row["max_evm_db"] == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_solver_budget_cannot_be_set(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["rate-sweep", "--max-iter", "5"])
+    assert err.value.code == 2
+    conf = tmp_path / "budget.conf"
+    conf.write_text("max-iter = 5\n")
+    code, out = run(tmp_path, "rate-sweep", "--config", str(conf))
+    assert code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [
-    ("--max-iter", "0"), ("--max-iter", "-1"), ("--order", "0"), ("--order", str(_MAX_ORDER + 1)),
-    ("--evm", "nan"),
+    ("--order", "0"), ("--order", str(_MAX_ORDER + 1)), ("--evm", "nan"),
+    ("--order", "-1"), ("--evm", "inf"),
 ])
 def test_bad_flag_values_are_usage_errors(tmp_path, extra):
     code, out = run(tmp_path, "rate-sweep", "--mode", "matched", "--constellation", "qpsk",
@@ -221,9 +247,6 @@ def test_order_bound_applies_to_every_subcommand(tmp_path):
                  ("evm-plan", "--constellation", "gaussian", "--snr", "10")):
         code, _ = run(tmp_path, *argv, "--order", "0")
         assert code == 2
-    code, _ = run(tmp_path, "validate", "--constellation", "gaussian", "--snr", "10",
-                  "--n-channels", "20", "--max-iter", "0")
-    assert code == 2
     # the largest supported order is accepted
     code, _ = run(tmp_path, "rate-sweep", "--mode", "matched", "--constellation", "gaussian",
                   "--snr", "10", "--evm", "-10", "--order", str(_MAX_ORDER))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import binoisy.numerics
 from binoisy.numerics import (
     FixedPointError,
     damped_fixed_point,
@@ -73,10 +74,11 @@ def test_damped_fixed_point_branch_depends_on_seed():
     assert high.converged and high.solution[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_damped_fixed_point_guards():
+def test_damped_fixed_point_guards(monkeypatch):
     with pytest.raises(FixedPointError):
         damped_fixed_point(lambda x: x * np.inf, [1.0])
-    res = damped_fixed_point(lambda x: 1.0 + x, [0.0], max_iter=5)
+    monkeypatch.setattr(binoisy.numerics, "_MAX_EVAL", 5)
+    res = damped_fixed_point(lambda x: 1.0 + x, [0.0])
     assert not res.converged
     assert res.iterations == 5
     # the nonnegative clamp keeps variance-like unknowns in range
@@ -138,17 +140,19 @@ def test_nearest_root_finds_known_roots_in_few_evaluations():
     assert res.iterations == len(calls) <= 12
 
 
-def test_root_solvers_honour_the_evaluation_budget():
+def test_root_solvers_honour_the_evaluation_budget(monkeypatch):
     # two calls walk to the bracket [0.2, 2.0]; the budget runs out in Brent
+    monkeypatch.setattr(binoisy.numerics, "_MAX_EVAL", 4)
     g, calls = counted(lambda x: x**3 - 2.0)
-    res = nearest_root(g, 2.0, max_eval=4)
+    res = nearest_root(g, 2.0)
     assert not res.converged
     assert res.iterations == len(calls) == 4
     assert calls[:2] == [2.0, 0.2]
     assert 0.2 < res.solution[0] < 2.0
     # no root above the start: the upward walk runs out of budget
+    monkeypatch.setattr(binoisy.numerics, "_MAX_EVAL", 5)
     g, calls = counted(lambda x: -1.0)
-    res = nearest_root(g, 1.0, max_eval=5)
+    res = nearest_root(g, 1.0)
     assert not res.converged
     assert res.iterations == len(calls) == 5
     assert res.solution[0] == 1e4
