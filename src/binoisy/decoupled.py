@@ -19,17 +19,30 @@ enters a kernel only through d: quadrature runs on the line at variance
 var/2 or on the plane at var, the log-density normalizer is
 -(d/2) ln(pi var) - ln K, and the conditional distortion variance is
 (d/2) r_v / (1 + eta r_v).
+
+A complex factor integrates one mixture component per orbit of the largest
+rotation group that maps its point set onto itself, the quarter turns
+{1, j, -1, -j} (8-PSK) or else the half turns {1, -1}, and averages them.
+Each kernel's integrand is unchanged when z and the alphabet turn together,
+and the tensor Gauss-Hermite grid maps onto itself exactly under these turns
+(its nodes and weights are symmetric), so the components of one orbit have
+the same integral up to roundoff. A pi/4 turn is not a grid symmetry (3e-7
+relative), so 8-PSK keeps two orbits. Sets with neither symmetry, or with a
+point at the origin, integrate every component.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .model import Constellation
 from .numerics import DEFAULT_ORDER, mixture_expectation, real_mixture_expectation
+
+_ORBIT_RTOL = 1e-12  # rotation matching tolerance, relative to the set's largest |a|
 
 __all__ = [
     "DecoupledPostulated",
@@ -86,12 +99,18 @@ def _factors(c: Constellation) -> tuple[tuple[np.ndarray, int], ...]:
     return ((i_axis, 1), (q_axis, 1))
 
 
-def _weights(z: np.ndarray, alph: np.ndarray, var: float):
+def _sq_dist(z: np.ndarray, alph: np.ndarray) -> np.ndarray:
+    """|z - a|^2 for every observation and point, points on the last axis."""
+    return np.abs(z[..., None] - alph) ** 2
+
+
+def _weights(z: np.ndarray, alph: np.ndarray, var: float, d2: np.ndarray | None = None):
     """Posterior weights over the factor's points for observations z, and the
     logsumexp of their exponents -|z - a|^2 / var. var is the complex-plane
     noise variance (var/2 per PAM axis); max-shifting keeps the weights on
-    the nearest point deep in the tails."""
-    ex = np.abs(z[..., None] - alph) ** 2 * (-1.0 / var)
+    the nearest point deep in the tails. d2, when given, is _sq_dist(z, alph)
+    already computed."""
+    ex = (_sq_dist(z, alph) if d2 is None else d2) * (-1.0 / var)
     m = np.max(ex, axis=-1, keepdims=True)
     w = np.exp(ex - m)
     den = np.sum(w, axis=-1, keepdims=True)
@@ -118,10 +137,44 @@ def _matched_mean(z: np.ndarray, alph: np.ndarray, eta: float, r_v: float) -> np
     return np.sum(w * _centers(z, alph, eta, r_v), axis=-1)
 
 
+def _orbit_starts(pts: np.ndarray, turns: tuple[complex, ...], tol: float) -> tuple[int, ...] | None:
+    """Index of the first point of each orbit under the rotations turns (the
+    group without 1), or None when some rotated point has no match within
+    tol among the points not yet assigned to an orbit."""
+    free, starts = list(range(len(pts))), []
+    while free:
+        i = free.pop(0)
+        starts.append(i)
+        for r in turns:
+            d = np.abs(pts[free] - r * pts[i])
+            if d.size == 0 or d.min() > tol:
+                return None
+            del free[int(np.argmin(d))]
+    return tuple(starts)
+
+
+@lru_cache(maxsize=64)
+def _orbit_representatives(key: bytes) -> tuple[int, ...] | None:
+    """One point per orbit of the largest rotation group, {1, j, -1, -j} or
+    else {1, -1}, that maps the complex point set (given as its bytes) onto
+    itself, as indices; None when neither does or a point sits at the
+    origin, whose orbit is that point alone. Points match within
+    _ORBIT_RTOL of the set's largest magnitude."""
+    pts = np.frombuffer(key, dtype=complex)
+    tol = _ORBIT_RTOL * float(np.max(np.abs(pts)))
+    if np.min(np.abs(pts)) <= tol:
+        return None
+    return _orbit_starts(pts, (1j, -1.0, -1j), tol) or _orbit_starts(pts, (-1.0,), tol)
+
+
 def _expect(alph: np.ndarray, var: float, f, order: int) -> float:
-    """E f(z) for z drawn from the factor's mixture at noise variance var."""
+    """E f(z) for z drawn from the factor's mixture at noise variance var.
+    A complex factor integrates one component per rotation orbit (module
+    docstring); the orbits are equal-sized, so their mean is the mixture's."""
     if np.iscomplexobj(alph):
-        return mixture_expectation([(a, var) for a in alph], f, order)
+        reps = _orbit_representatives(alph.tobytes())
+        means = alph if reps is None else alph[list(reps)]
+        return mixture_expectation([(a, var) for a in means], f, order)
     return real_mixture_expectation(alph, var / 2.0, f, order)
 
 
@@ -145,8 +198,9 @@ def _true_mse(alph: np.ndarray, eta: float, r_v: float, xi: float, order: int) -
     s = (1.0 if np.iscomplexobj(alph) else 0.5) * r_v / (1.0 + eta * r_v)
 
     def cond_sq_err(z):
-        w, _ = _weights(z, alph, var)
-        wq, _ = _weights(z, alph, 1.0 / xi)
+        d2 = _sq_dist(z, alph)
+        w, _ = _weights(z, alph, var, d2)
+        wq, _ = _weights(z, alph, 1.0 / xi, d2)
         m = wq @ alph
         return s + np.sum(w * np.abs(_centers(z, alph, eta, r_v) - m[..., None]) ** 2, axis=-1)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import binoisy.decoupled as decoupled
 from binoisy.decoupled import (
     DecoupledPostulated,
     DecoupledTrue,
@@ -19,6 +20,7 @@ from binoisy.decoupled import (
     true_mse,
 )
 from binoisy.model import Constellation, make_constellation
+from binoisy.numerics import mixture_expectation
 
 # Frozen oracles for QPSK with gamma_bar = 2, xi = 0.7, eta = 0.9, r_v = 0.3.
 # Each agrees with a 2e6-sample simulation of the corresponding scalar channel
@@ -104,17 +106,108 @@ def test_frozen_scalar_oracles():
             assert got[name] == pytest.approx(value, rel=1e-12), (kind, name)
 
 
+def six_quantities(con, eta, r_v, xi):
+    """The public quantities, in the order of SQUARE_QUANTITIES."""
+    true_ctx = DecoupledTrue(eta=eta, r_v=r_v, constellation=con)
+    post_ctx = DecoupledPostulated(xi=xi, constellation=con)
+    return (postulated_mmse(post_ctx), true_mse(true_ctx, post_ctx), cross_entropy(true_ctx, post_ctx),
+            matched_second_moment(true_ctx), output_entropy(true_ctx), matched_scalar_mi(true_ctx))
+
+
 @pytest.mark.parametrize("kind", sorted(SQUARE_HEX))
 def test_square_grids_are_bit_frozen(kind):
     for (gb, eta, r_v, xi), want in zip(SQUARE_CONTEXTS, SQUARE_HEX[kind]):
         con = make_constellation(kind, gb)
         assert np.array_equal(*con.axes)
-        true_ctx = DecoupledTrue(eta=eta, r_v=r_v, constellation=con)
-        post_ctx = DecoupledPostulated(xi=xi, constellation=con)
-        got = (postulated_mmse(post_ctx), true_mse(true_ctx, post_ctx), cross_entropy(true_ctx, post_ctx),
-               matched_second_moment(true_ctx), output_entropy(true_ctx), matched_scalar_mi(true_ctx))
-        for name, value, hex_value in zip(SQUARE_QUANTITIES, got, want):
+        for name, value, hex_value in zip(SQUARE_QUANTITIES, six_quantities(con, eta, r_v, xi), want):
             assert value.hex() == hex_value, (kind, gb, name)
+
+
+# Complex point sets, none a product grid. psk8 and its turn by pi/8 map onto
+# themselves under the quarter turn, HALF_TURN only under the half turn,
+# ASYMMETRIC under neither, and ORIGIN would under the quarter turn but for
+# its point at 0, whose orbit is itself.
+PSK8_TURNED = np.exp(1j * (np.pi / 8 + np.pi / 4 * np.arange(8)))
+HALF_TURN = np.array([1 + 0.5j, -1 - 0.5j, 0.3 + 1j, -0.3 - 1j])
+ASYMMETRIC = np.array([0, 1, 1j, 2 + 1j, -0.5 - 2j])
+ORIGIN = np.array([0, 1, 1j, -1, -1j])
+# (gamma_bar, eta, r_v, xi): the square-grid contexts and one at 30 dB
+ORBIT_CONTEXTS = SQUARE_CONTEXTS + ((1000.0, 1.0, 0.01, 0.1),)
+
+
+def complex_set(points, gamma_bar):
+    con = make_constellation("psk8", gamma_bar) if points is None else make_constellation("custom", gamma_bar, points)
+    assert con.axes is None
+    return con
+
+
+def full_sum_expect(alph, var, f, order):
+    """Reference for decoupled._expect on a complex factor: every point's
+    component integrated."""
+    return mixture_expectation([(a, var) for a in alph], f, order)
+
+
+@pytest.mark.parametrize("points", [None, PSK8_TURNED, HALF_TURN], ids=["psk8", "psk8_turned", "half_turn"])
+def test_rotation_orbits_match_the_full_sum(points, monkeypatch):
+    # postulated_mmse is gamma_bar minus an integral of size gamma_bar, so its
+    # roundoff is relative to gamma_bar; at 30 dB the value itself is ~0
+    for gb, eta, r_v, xi in ORBIT_CONTEXTS:
+        con = complex_set(points, gb)
+        got = six_quantities(con, eta, r_v, xi)
+        with monkeypatch.context() as m:
+            m.setattr(decoupled, "_expect", full_sum_expect)
+            want = six_quantities(con, eta, r_v, xi)
+        scales = (gb,) + tuple(abs(v) for v in want[1:])
+        for name, g, w, scale in zip(SQUARE_QUANTITIES, got, want, scales):
+            assert abs(g - w) <= 1e-13 * scale, (gb, name, g, w)
+
+
+# float.hex of every quantity at each ORBIT_CONTEXTS entry, in the order of
+# SQUARE_QUANTITIES, frozen from the sum over every point before rotation
+# orbits were integrated once: sets without a usable symmetry keep that sum
+# bit for bit.
+FULL_PATH_HEX = {
+    "asymmetric": (
+        ("0x1.2e7fa5a0de1d4p-1", "0x1.46073611acdd0p-1", "-0x1.9de6d52242ea2p+1",
+         "0x1.b37e0e7c10d82p+0", "0x1.9de5928d339bdp+1", "0x1.f78a70d5c5b50p-1"),
+        ("0x1.261c98b8d6200p-9", "0x1.14d76be82d502p-5", "-0x1.b4d9362a0523dp+0",
+         "0x1.4ab97bf38b5c2p+0", "0x1.65490bef05edep+0", "0x1.bc5edefaffa1bp+0"),
+        ("0x1.9f50f5e800000p-14", "0x1.47ae147ae1486p-7", "-0x1.4a189f9538bccp+2",
+         "0x1.f400033e8e24ap+9", "0x1.e1ce9f73761adp+1", "0x1.9e903a587219ep+0"),
+    ),
+    "origin": (
+        ("0x1.727038a528970p-1", "0x1.6ca8d797569a0p-1", "-0x1.ab2c6d26555fap+1",
+         "0x1.9ea6168f56480p+0", "0x1.ab2b621fd5c35p+1", "0x1.1650d79027298p+0"),
+        ("0x1.f417d6a5b8000p-15", "0x1.8a324edc8a746p-6", "-0x1.cf13baea9d7b0p+0",
+         "0x1.4cf3d3163d916p+0", "0x1.790f98fee3323p+0", "0x1.d0256c0adce60p+0"),
+        ("0x1.e000000000000p-39", "0x1.47ae147ae147bp-7", "-0x1.4a189f9538bccp+2",
+         "0x1.f400033e8e24bp+9", "0x1.e1ce9f73761adp+1", "0x1.9e903a587219ep+0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name,points", [("asymmetric", ASYMMETRIC), ("origin", ORIGIN)])
+def test_sets_without_rotation_orbits_keep_the_full_sum(name, points):
+    for (gb, eta, r_v, xi), want in zip(ORBIT_CONTEXTS, FULL_PATH_HEX[name]):
+        got = six_quantities(complex_set(points, gb), eta, r_v, xi)
+        for quantity, value, hex_value in zip(SQUARE_QUANTITIES, got, want):
+            assert value.hex() == hex_value, (name, gb, quantity)
+
+
+@pytest.mark.parametrize("points,components", [
+    (None, 2), (PSK8_TURNED, 2), (HALF_TURN, 2), (ASYMMETRIC, 5), (ORIGIN, 5),
+], ids=["psk8", "psk8_turned", "half_turn", "asymmetric", "origin"])
+def test_complex_kernels_integrate_one_component_per_orbit(points, components, monkeypatch):
+    seen = []
+
+    def spy(comps, f, order):
+        comps = list(comps)
+        seen.append(len(comps))
+        return mixture_expectation(comps, f, order)
+
+    monkeypatch.setattr(decoupled, "mixture_expectation", spy)
+    six_quantities(complex_set(points, 2.0), 0.9, 0.3, 0.7)
+    assert seen == [components] * len(SQUARE_QUANTITIES)
 
 
 def test_bpsk_posterior_mean_is_tanh():

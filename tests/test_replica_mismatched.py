@@ -277,7 +277,10 @@ def test_gmi_general_iterations_count_every_scan_point(monkeypatch):
 # gmi_at_s_general at M=N=4, snr 10 dB, EVM -10 dB, frozen before the white
 # and general postulates shared one two-stage solve; keys are (kind, s,
 # order) and (kind, s). psk8 runs the complex-plane kernel, so it uses a
-# low order to keep the test fast.
+# low order to keep the test fast; its two values moved by 4 and 16 ulp when
+# that kernel began integrating one component per rotation orbit, a roundoff
+# change that test_rotation_orbits_match_the_full_sum in test_decoupled.py
+# bounds.
 _FROZEN_WHITE = {
     ("gaussian", 0.3, 48): ("0x1.414d0f74382e6p+0", 0, True),
     ("gaussian", 1.0, 48): ("0x1.ebda5fdfcd344p-1", 0, True),
@@ -288,8 +291,8 @@ _FROZEN_WHITE = {
     ("qam16", 0.3, 48): ("0x1.3c7aa93f40852p+0", 337, True),
     ("qam16", 1.0, 48): ("0x1.e1972941c6a4cp-1", 516, True),
     ("qam16", 3.0, 48): ("-0x1.96a0ff59cf89cp+0", 1081, True),
-    ("psk8", 0.3, 16): ("0x1.36026afce5dc6p+0", 381, True),
-    ("psk8", 1.0, 16): ("0x1.dbc915aaebb40p-1", 592, True),
+    ("psk8", 0.3, 16): ("0x1.36026afce5dc2p+0", 381, True),
+    ("psk8", 1.0, 16): ("0x1.dbc915aaebb30p-1", 592, True),
 }
 # the coloured postulate diag(0.5, 1, 1.5, 2) on the same channel
 _FROZEN_GENERAL = {
