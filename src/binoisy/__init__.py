@@ -60,7 +60,6 @@ from .replica_mismatched import (
     free_energy,
     gmi,
     gmi_at_s,
-    gmi_general,
     gmi_highsnr_gaussian,
     solve_eta_eps,
     solve_xi_discrete,
@@ -86,7 +85,6 @@ __all__ = [
     "free_energy",
     "gmi",
     "gmi_at_s",
-    "gmi_general",
     "gmi_highsnr_gaussian",
     "hermgauss_nodes",
     "make_config",

@@ -22,7 +22,6 @@ from .model import Constellation, RateResult, SystemConfig, at_power
 from .numerics import DEFAULT_ORDER, multi_start, nearest_root
 
 __all__ = [
-    "matched_residuals",
     "solve_matched_primary",
     "solve_matched_prime",
     "matched_mi",
@@ -30,22 +29,18 @@ __all__ = [
 ]
 
 _EPS_SEED_FLOOR = 1e-6  # low start of the error unknown; the high start is the prior power
+_RATE_SLACK = 1e-6  # nats a rate may stray outside [0, ln K] and still count as converged
 
 
-def matched_residuals(res: RateResult, cfg: SystemConfig, constellation: Constellation,
-                      order: int = DEFAULT_ORDER) -> dict:
-    """Absolute violation of each matched fixed-point equation at the
-    solution matched_mi reported in res.params."""
-    p, M, constellation = res.params, cfg.M, at_power(constellation, cfg)
-    out = {
-        "eta": abs(p["eta"] - cfg.trinv_rw_plus(p["eps"]) / M),
-        "eta_prime": abs(p["eta_prime"] - cfg.trinv_rw_plus(p["eps_prime"]) / M),
-        "eps_prime": abs(p["eps_prime"] - cfg.r_v / (1.0 + p["eta_prime"] * cfg.r_v)),
-    }
-    true_ctx = DecoupledTrue(eta=p["eta"], r_v=cfg.r_v, constellation=constellation)
-    target = cfg.gamma_bar + cfg.r_v - matched_second_moment(true_ctx, order)
-    out["eps"] = abs(p["eps"] - target)
-    return out
+def _in_rate_range(res: RateResult, constellation: Constellation) -> RateResult:
+    """res, marked unconverged when its rate lies outside [0, ln K] for a
+    K-point alphabet ([0, inf) for Gaussian inputs) by more than _RATE_SLACK
+    nats. No decoder can carry more than the input entropy, so such a rate
+    comes from a bad fixed point; the rate itself is kept, not clipped."""
+    top = math.inf if constellation.is_gaussian else math.log(constellation.size)
+    if -_RATE_SLACK <= res.rate_nats <= top + _RATE_SLACK:
+        return res
+    return replace(res, converged=False)
 
 
 def _solve_gaussian_pair(cfg: SystemConfig, P: float) -> tuple[float, float, int, bool]:
@@ -164,14 +159,15 @@ def matched_mi(
     reported; the rate differs from the matched free energy by a
     solution-independent constant, so that choice is the free-energy
     minimizer. The result is converged when the prime pair and the chosen
-    branch are; iterations counts both pairs' evaluations.
+    branch are and the rate lies in [0, ln K] (_in_rate_range); iterations
+    counts both pairs' evaluations.
     """
     constellation = at_power(constellation, cfg)
-    return replace(_two_stage(
+    return _in_rate_range(replace(_two_stage(
         ("eta_prime", "eps_prime", "eta", "eps"), [_solve_gaussian_pair(cfg, cfg.r_v)],
         lambda eta_p, eps_p: solve_matched_primary(cfg, constellation, order),
         lambda *aux: _mi_from_branch(cfg, constellation, order, *aux),
-    ), free_energy=None)
+    ), free_energy=None), constellation)
 
 
 def matched_mi_highsnr(alpha: float, kappa: float) -> float:

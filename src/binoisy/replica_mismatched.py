@@ -4,16 +4,16 @@ decodes with a postulated white-noise law instead of the true channel.
 The large-system analysis decouples the link into the scalar channels of
 decoupled.py, governed by four unknowns: the postulated and true inverse
 noise variances (xi, eta) and the corresponding mean-square errors
-(eps_tilde, eps). For a white postulated covariance everything depends on the
-postulate only through the scale s_tilde = s / r_tilde, so rates are reported
-as a supremum over that single scalar. The fully general covariance path is
-kept alongside and must agree; it is exercised by the invariance tests.
+(eps_tilde, eps). This module solves the white postulate only, which enters
+through the single scale s_tilde = s / r_tilde, so rates are reported as a
+supremum over that scalar. The matrix form for an
+arbitrary postulated covariance lives in the tests (tests/postulate_oracle.py)
+as a check that a scaled identity lands on the white-path value.
 
-Both postulates run one two-stage solve, the matched rate's
-(replica_matched._two_stage): the postulated stage (xi, eps_tilde), then the
-true stage (eta, eps) for each of its branches. They differ only in their
-trace formulas, free energy and penalty. White Gaussian inputs solve both
-stages in closed form.
+gmi_at_s runs the matched rate's two-stage solve (replica_matched._two_stage):
+the postulated stage (xi, eps_tilde), then the true stage (eta, eps) for each
+of its branches, with the white free energy as the energy. Gaussian inputs
+solve both stages in closed form.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from .decoupled import (
     postulated_mmse,
     true_mse,
 )
-from .model import Constellation, RateResult, SystemConfig, at_power, hermitian_pd_eigvals
+from .model import Constellation, RateResult, SystemConfig, at_power
 from .numerics import DEFAULT_ORDER, damped_fixed_point, maximize_scalar, multi_start
-from .replica_matched import _EPS_SEED_FLOOR, _NoUsableFixedPoint, _two_stage, matched_mi
+from .replica_matched import _EPS_SEED_FLOOR, _in_rate_range, _NoUsableFixedPoint, _two_stage, matched_mi
 
 __all__ = [
-    "mismatched_residuals",
     "xi_gaussian_closed_form",
     "solve_xi_discrete",
     "solve_eta_eps",
@@ -44,10 +43,6 @@ __all__ = [
     "gmi_at_s",
     "gmi",
     "gmi_highsnr_gaussian",
-    "general_aux_traces",
-    "free_energy_general",
-    "gmi_at_s_general",
-    "gmi_general",
 ]
 
 # Slack allowed above the matched rate before a scan point is declared
@@ -77,21 +72,6 @@ def _rate_ceiling(
     if not ceiling.converged:
         return math.inf
     return ceiling.rate_nats + _CEILING_TOL
-
-
-def mismatched_residuals(res: RateResult, cfg: SystemConfig, constellation: Constellation,
-                         order: int = DEFAULT_ORDER) -> dict:
-    """Absolute violation of each white-postulate fixed-point equation at the
-    solution gmi or gmi_at_s reported in res."""
-    p, s_tilde, alpha, constellation = res.params, res.s_tilde, cfg.alpha, at_power(constellation, cfg)
-    post = DecoupledPostulated(xi=p["xi"], constellation=constellation)
-    true = DecoupledTrue(eta=p["eta"], r_v=cfg.r_v, constellation=constellation)
-    return {
-        "xi": abs(p["xi"] - s_tilde / (alpha * (1.0 + s_tilde * p["eps_tilde"]))),
-        "eps_tilde": abs(p["eps_tilde"] - postulated_mmse(post, order)),
-        "eta": abs(p["eta"] - 1.0 / (alpha * (cfg.cw + p["eps"]))),
-        "eps": abs(p["eps"] - true_mse(true, post, order)),
-    }
 
 
 def xi_gaussian_closed_form(alpha: float, gamma_bar: float, s_tilde: float) -> float:
@@ -267,9 +247,12 @@ def gmi(
     constellation: Constellation,
     order: int = DEFAULT_ORDER,
 ) -> RateResult:
-    """Per-stream GMI in nats, supremum over the postulated noise scale."""
-    return _scale_search(lambda s: gmi_at_s(s, cfg, constellation, order),
-                         1.0 / (cfg.cw + cfg.r_v), cfg, constellation, order)
+    """Per-stream GMI in nats, supremum over the postulated noise scale.
+    Unconverged when the solve at the supremum is, or when its rate lies
+    outside [0, ln K] (replica_matched._in_rate_range)."""
+    return _in_rate_range(_scale_search(lambda s: gmi_at_s(s, cfg, constellation, order),
+                                        1.0 / (cfg.cw + cfg.r_v), cfg, constellation, order),
+                          constellation)
 
 
 def gmi_highsnr_gaussian(alpha: float, kappa: float) -> RateResult:
@@ -291,107 +274,3 @@ def gmi_highsnr_gaussian(alpha: float, kappa: float) -> RateResult:
     sg_star, val = maximize_scalar(h, 1.0 / k2)
     return RateResult(rate_nats=val, params={"xi": xi_gaussian_closed_form(alpha, 1.0, sg_star)},
                       s_tilde=sg_star)
-
-
-# ---------------------------------------------------------------------------
-# general postulated-covariance path
-# ---------------------------------------------------------------------------
-
-def general_aux_traces(
-    R_w: np.ndarray,
-    R_tilde: np.ndarray,
-    s: float,
-    eps: float,
-    eps_tilde: float,
-    alpha: float,
-) -> tuple[float, float]:
-    """(eta, xi) from the matrix trace formulas with
-    Omega = R_w + eps I and Omega_tilde = R_tilde/s + eps_tilde I."""
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s:g}")
-    N = R_w.shape[0]
-    omega_t = R_tilde / s + eps_tilde * np.eye(N)
-    omega = R_w + eps * np.eye(N)
-    oti = np.linalg.inv(omega_t)
-    tr_oti = float(np.trace(oti).real)
-    xi = tr_oti / (alpha * N)
-    num = (tr_oti / N) ** 2
-    den = float(np.trace(oti @ omega @ oti).real) / N
-    eta = num / (alpha * den)
-    return eta, xi
-
-
-def free_energy_general(
-    s: float,
-    xi: float,
-    eta: float,
-    eps: float,
-    eps_tilde: float,
-    cfg: SystemConfig,
-    constellation: Constellation,
-    R_tilde: np.ndarray,
-    order: int = DEFAULT_ORDER,
-) -> float:
-    """Free energy evaluated through the full matrix form; specializing
-    R_tilde to a scaled identity must reproduce free_energy to roundoff."""
-    N, alpha = cfg.N, cfg.alpha
-    omega_t = R_tilde / s + eps_tilde * np.eye(N)
-    omega = cfg.R_w + eps * np.eye(N)
-    sign, logdet_ot = np.linalg.slogdet(omega_t)
-    if sign.real <= 0:
-        raise ValueError("postulated covariance produced a non-positive-definite Omega_tilde")
-    _, logdet_rts = np.linalg.slogdet(R_tilde / s)
-    matrix_part = (logdet_ot + float(np.trace(np.linalg.solve(omega_t, omega)).real) - logdet_rts) / (alpha * N)
-    post = DecoupledPostulated(xi=xi, constellation=constellation)
-    true = DecoupledTrue(eta=eta, r_v=cfg.r_v, constellation=constellation)
-    ce = cross_entropy(true, post, order)
-    return (
-        matrix_part
-        - (math.log(math.pi / xi) + xi / eta + ce)
-        - xi * eps
-        + xi * (xi - eta) * eps_tilde / eta
-    )
-
-
-def gmi_at_s_general(
-    s: float,
-    cfg: SystemConfig,
-    constellation: Constellation,
-    R_tilde: np.ndarray,
-    order: int = DEFAULT_ORDER,
-) -> tuple[float, RateResult]:
-    """GMI at fixed s for an arbitrary Hermitian postulated covariance: the
-    two-stage solve of gmi_at_s with the matrix trace formulas, free energy
-    and penalty. Gaussian inputs run the iterative stages."""
-    constellation = at_power(constellation, cfg)
-
-    def traces(eps, eps_t):
-        return general_aux_traces(cfg.R_w, R_tilde, s, eps, eps_t, cfg.alpha)
-
-    stage1 = solve_xi_discrete(lambda et: traces(0.0, et)[1], constellation, order)
-    rti = np.linalg.inv(R_tilde)
-    penalty = s * (float(np.trace(rti @ cfg.R_w).real) + cfg.r_v * float(np.trace(rti).real)) / cfg.M
-    res = _two_stage(
-        ("xi", "eps_tilde", "eta", "eps"), stage1,
-        lambda xi, eps_t: solve_eta_eps(xi, lambda eps: traces(eps, eps_t)[0], cfg.r_v,
-                                        constellation, order),
-        lambda xi, eps_t, eta, eps: free_energy_general(s, xi, eta, eps, eps_t, cfg, constellation,
-                                                        R_tilde, order),
-        penalty, float(s),
-    )
-    return res.rate_nats, res
-
-
-def gmi_general(
-    cfg: SystemConfig,
-    constellation: Constellation,
-    R_tilde: np.ndarray,
-    order: int = DEFAULT_ORDER,
-) -> RateResult:
-    """Supremum of gmi_at_s_general over s. For R_tilde = r I this must agree
-    with gmi to the optimizer tolerance regardless of r."""
-    R_tilde = np.asarray(R_tilde, dtype=complex)
-    eig = hermitian_pd_eigvals(R_tilde, cfg.N, "R_tilde")
-    scale = float(np.mean(eig).real) / (cfg.cw + cfg.r_v)
-    return _scale_search(lambda s: gmi_at_s_general(s, cfg, constellation, R_tilde, order),
-                         scale, cfg, constellation, order)

@@ -19,14 +19,9 @@ from binoisy.montecarlo import (
     mc_mi_matched_discrete,
     mc_mi_matched_gaussian,
 )
-from binoisy.replica_matched import matched_mi, matched_mi_highsnr, matched_residuals
-from binoisy.replica_mismatched import (
-    gmi,
-    gmi_general,
-    gmi_highsnr_gaussian,
-    mismatched_residuals,
-    xi_gaussian_closed_form,
-)
+from binoisy.replica_matched import matched_mi, matched_mi_highsnr
+from binoisy.replica_mismatched import gmi, gmi_highsnr_gaussian, xi_gaussian_closed_form
+from postulate_oracle import gmi_general, matched_residuals, mismatched_residuals
 
 SEED = 20260819
 

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -209,6 +212,32 @@ def test_nonconvergence_exit_code_and_allow_partial(tmp_path, monkeypatch):
     code, out = run(tmp_path, *args, "--allow-partial", name="p.csv")
     assert code == 0
     assert read_rows(out)[0]["converged"] == "false"
+
+
+@pytest.mark.parametrize("argv,bits", [
+    (("--mode", "matched", "--constellation", "qam64", "--snr", "200"), 6.0),
+    (("--mode", "both", "--constellation", "qam16", "--snr", "250"), 4.0),
+])
+def test_rate_above_the_input_entropy_is_not_converged(tmp_path, argv, bits):
+    # the rows keep their rates (7.44, 5.44 and a GMI of 4.29 bits) but are
+    # failures, so the run exits 1 unless partial output is allowed
+    args = ("rate-sweep", *argv, "--evm", "-30")
+    code, out = run(tmp_path, *args)
+    assert code == 1
+    rows = read_rows(out)
+    assert rows and all(r["converged"] == "false" for r in rows)
+    assert all(float(r["rate_bits_per_stream"]) > bits for r in rows)
+    code, _ = run(tmp_path, *args, "--allow-partial", name="p.csv")
+    assert code == 0
+
+
+def test_cli_import_does_not_load_the_test_oracle():
+    # the oracle sits on the path, as under pytest, and still stays unloaded
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    probe = "import sys, binoisy, binoisy.cli; sys.exit('postulate_oracle' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_one_solver_budget_governs_the_planner(tmp_path, capsys, monkeypatch):

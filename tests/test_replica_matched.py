@@ -7,13 +7,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from binoisy.model import make_config, make_constellation
-from binoisy.replica_matched import (
-    matched_mi,
-    matched_mi_highsnr,
-    matched_residuals,
-    solve_matched_prime,
-)
+from binoisy.model import RateResult, make_config, make_constellation
+from binoisy.replica_matched import _in_rate_range, matched_mi, matched_mi_highsnr, solve_matched_prime
+from postulate_oracle import matched_residuals
 
 # Frozen anchors at M=N=4, snr 10 dB, EVM -10 dB. The Gaussian value is
 # cross-checked against ensemble Monte Carlo in the acceptance suite; the
@@ -145,6 +141,31 @@ def test_discrete_rate_saturates_at_alphabet_entropy():
         res = matched_mi(cfg, make_constellation(kind, cfg.gamma_bar))
         assert res.rate_bits == pytest.approx(bits, abs=1e-2)
         assert res.rate_bits <= bits + 1e-9
+
+
+@pytest.mark.parametrize("kind,snr", [("qam64", 200.0), ("qam16", 250.0),
+                                      ("qam64", 160.0), ("qam16", 160.0), ("qpsk", 160.0)])
+def test_rate_outside_the_input_entropy_is_unconverged(kind, snr):
+    # far above any usable SNR the primary pair can land on a fixed point
+    # whose rate exceeds log2 K (7.44 bits for qam64 at 200 dB, 5.44 for
+    # qam16 at 250 dB); such a result must not claim convergence. At 160 dB
+    # the rates sit within the 1e-6-nat slack and stay converged.
+    cfg = make_config(4, 4, snr, evm_db=-30.0)
+    con = make_constellation(kind, cfg.gamma_bar)
+    res = matched_mi(cfg, con)
+    assert res.converged == (res.rate_nats <= math.log(con.size) + 1e-6), res.rate_bits
+
+
+def test_rate_range_guard_bounds():
+    qpsk, gaussian = make_constellation("qpsk", 1.0), make_constellation("gaussian", 1.0)
+    top = math.log(4.0)
+    for rate, con, ok in ((top + 0.9e-6, qpsk, True), (top + 1.1e-6, qpsk, False),
+                          (-0.9e-6, qpsk, True), (-1.1e-6, qpsk, False), (math.nan, qpsk, False),
+                          (1e3, gaussian, True), (-1.1e-6, gaussian, False)):
+        res = _in_rate_range(RateResult(rate, {}, iterations=7), con)
+        assert res.converged == ok, (rate, con.kind)
+        assert res.iterations == 7 and (res.rate_nats == rate or math.isnan(rate))
+    assert not _in_rate_range(RateResult(0.5, {}, converged=False), qpsk).converged
 
 
 def test_highsnr_limit_values():
